@@ -198,6 +198,8 @@ def cmd_run(args) -> int:
         return 0
     if not args.corpus:
         raise ConfigError("a corpus file is required (or use --print-default-config)")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     config = _load_config(args.config)
     notes = _load_notes(args.corpus)
     names = (

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from morbench.errors import VectorFileError
-from morbench.preprocess import EncodedDoc, Vocabulary, encode
+from morbench.preprocess import Vocabulary, encode
 
 PAD_ROW = 0
 
@@ -228,12 +228,3 @@ def random_table(vocab_size: int, dim: int, seed: int, scale: float = 0.05) -> E
     rows = rng.uniform(-scale, scale, size=(vocab_size + 1, dim))
     rows[PAD_ROW] = 0.0
     return EmbeddingTable(rows=rows)
-
-
-def lookup_sequence(encoded: EncodedDoc | list[int], table: EmbeddingTable) -> np.ndarray:
-    """Stack embedding rows for a padded index sequence (max_len x dim)."""
-    indices = list(encoded.indices) if isinstance(encoded, EncodedDoc) else list(encoded)
-    for idx in indices:
-        if not 0 <= idx <= table.vocab_size:
-            raise ValueError(f"index {idx} outside table of size {table.vocab_size}")
-    return table.rows[indices]

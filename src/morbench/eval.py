@@ -6,6 +6,13 @@ the matching classifier, score the held-out fold with binary F1, and average
 across folds. All randomness derives from sha256 of the master seed plus the
 cell coordinates, so cells are independent and the report bytes do not depend
 on execution order or worker count.
+
+REPRESENTATION_TABLE maps each representation to the predictor kind that
+featurizes and classifies its notes and, for the BiLSTM variants, to the
+source of the embedding table. Each fold's fitted featurizer and trained
+model become a PredictorHandle, and the held-out notes are scored through
+morbench.models.predictor.predict_batch: the code a saved handle predicts
+with is the code cross-validation scored.
 """
 
 from __future__ import annotations
@@ -21,31 +28,47 @@ import numpy as np
 from morbench.corpus import MORBIDITIES, MorbidityDataset
 from morbench.embeddings import SkipgramConfig, load_pretrained, random_table, train_skipgram
 from morbench.errors import ConfigError
-from morbench.models.lstm import BiLstmConfig, bilstm_forward, bilstm_train
-from morbench.models.mlp import mlp_forward, mlp_train
+from morbench.models.lstm import BiLstmConfig, bilstm_train
+from morbench.models.mlp import mlp_train
+from morbench.models.predictor import (
+    PredictorHandle,
+    index_matrix,
+    note_tokens,
+    predict_batch,
+    tfidf_matrix,
+)
 from morbench.models.rmsprop import RmspropConfig
-from morbench.models.svm import svm_decision, svm_train
-from morbench.preprocess import (
-    build_vocabulary,
-    compute_max_len,
-    encode,
-    filter_for_tfidf,
-    load_stopwords,
-    normalize_text,
-    pad_truncate,
-    tokenize,
-)
+from morbench.models.svm import svm_train
+from morbench.preprocess import build_vocabulary, compute_max_len, load_stopwords
 from morbench.tfidf import fit as tfidf_fit
-from morbench.tfidf import normalize_row, transform
 
-REPRESENTATIONS = (
-    "tfidf_svm",
-    "tfidf_mlp",
-    "bilstm_random",
-    "bilstm_pretrained_w2v",
-    "bilstm_glove",
-    "bilstm_domain_w2v",
-)
+# Kept only as targets of the benchmark's layer hooks; the calls go through the predictor.
+from morbench.models.lstm import bilstm_forward  # noqa: F401
+from morbench.models.mlp import mlp_forward  # noqa: F401
+from morbench.models.svm import svm_decision  # noqa: F401
+from morbench.preprocess import encode, pad_truncate, tokenize  # noqa: F401
+from morbench.tfidf import normalize_row, transform  # noqa: F401
+
+
+@dataclass(frozen=True)
+class Representation:
+    kind: str  # the PredictorHandle kind: "svm", "mlp" or "bilstm"
+    # BiLSTM embedding table: "random" (trained with the model), "skipgram"
+    # (trained on the training notes), or the config field naming a vector file
+    embedding: str | None = None
+
+
+_VECTOR_FILE_FIELDS = ("word2vec_path", "glove_path")
+
+REPRESENTATION_TABLE = {
+    "tfidf_svm": Representation("svm"),
+    "tfidf_mlp": Representation("mlp"),
+    "bilstm_random": Representation("bilstm", "random"),
+    "bilstm_pretrained_w2v": Representation("bilstm", "word2vec_path"),
+    "bilstm_glove": Representation("bilstm", "glove_path"),
+    "bilstm_domain_w2v": Representation("bilstm", "skipgram"),
+}
+REPRESENTATIONS = tuple(REPRESENTATION_TABLE)
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -296,14 +319,6 @@ class CellResult:
         return float(np.mean([f.f1 for f in self.folds]))
 
 
-def _dense_matrix(sparse_rows, width: int) -> np.ndarray:
-    X = np.zeros((len(sparse_rows), width))
-    for r, row in enumerate(sparse_rows):
-        for col, weight in row:
-            X[r, col] = weight
-    return X
-
-
 _STOPWORDS: frozenset | None = None
 
 
@@ -314,47 +329,11 @@ def _stopwords() -> frozenset:
     return _STOPWORDS
 
 
-def _tfidf_fold(token_lists, fold, fit_scope):
-    """Fit TF-IDF on the fit docs, return dense train and test matrices."""
-    fit_docs = (
-        token_lists
-        if fit_scope == "corpus"
-        else [token_lists[i] for i in fold.train_indices]
-    )
-    model = tfidf_fit(fit_docs)
-    width = len(model.columns)
-    train = _dense_matrix(
-        [normalize_row(transform(token_lists[i], model)) for i in fold.train_indices], width
-    )
-    test = _dense_matrix(
-        [normalize_row(transform(token_lists[i], model)) for i in fold.test_indices], width
-    )
-    return train, test
-
-
-def _sequence_fold(token_lists, fold, fit_scope):
-    """Vocabulary + length policy from the fit docs; padded index batches."""
-    fit_docs = (
-        token_lists
-        if fit_scope == "corpus"
-        else [token_lists[i] for i in fold.train_indices]
-    )
-    vocab = build_vocabulary(fit_docs)
-    policy = compute_max_len([len(t) for t in fit_docs])
-
-    def encode_one(i):
-        return pad_truncate(encode(token_lists[i], vocab), policy).indices
-
-    train = np.array([encode_one(i) for i in fold.train_indices], dtype=np.intp)
-    test = np.array([encode_one(i) for i in fold.test_indices], dtype=np.intp)
-    return vocab, policy, train, test
-
-
-def _embedding_for(representation, vocab, train_tokens, config, seed):
-    """Embedding table + trainability for one BiLSTM variant, or a skip reason."""
-    if representation == "bilstm_random":
-        return random_table(len(vocab), config.embed_dim, seed), True, None
-    if representation == "bilstm_domain_w2v":
+def _embedding(source: str, vocab, train_docs, config: ExperimentConfig, seed: int):
+    """Embedding table for a BiLSTM, and whether training may update it."""
+    if source == "random":
+        return random_table(len(vocab), config.embed_dim, seed), True
+    if source == "skipgram":
         sg = SkipgramConfig(
             dim=config.embed_dim,
             window=config.sg_window,
@@ -363,13 +342,62 @@ def _embedding_for(representation, vocab, train_tokens, config, seed):
             learning_rate=config.sg_lr,
             seed=seed,
         )
-        table, _ = train_skipgram(train_tokens, vocab, sg)
-        return table, False, None
-    path = config.word2vec_path if representation == "bilstm_pretrained_w2v" else config.glove_path
-    if path is None:
-        return None, False, f"no vector file configured for {representation}"
-    table, _ = load_pretrained(path, vocab, config.embed_dim)
-    return table, False, None
+        table, _ = train_skipgram(train_docs, vocab, sg)
+        return table, False
+    table, _ = load_pretrained(getattr(config, source), vocab, config.embed_dim)
+    return table, False
+
+
+def _fit_fold(
+    rep: Representation, morbidity: str, token_lists, fold: FoldSplit, labels, config, seed
+) -> PredictorHandle | str:
+    """Fit the featurizer and train the classifier on one fold's training notes.
+
+    The featurizer is fitted on the training notes, or on every note under
+    fit_scope="corpus". Returns the handle that scores the held-out notes, or
+    a skip reason when the training notes hold too few tokens to set a length.
+    """
+    train_docs = [token_lists[i] for i in fold.train_indices]
+    fit_docs = token_lists if config.fit_scope == "corpus" else train_docs
+    y_train = labels[list(fold.train_indices)]
+    if rep.kind == "bilstm":
+        vocab = build_vocabulary(fit_docs)
+        policy = compute_max_len([len(t) for t in fit_docs])
+        if policy.max_len < 1:
+            return f"notes too short for a sequence (max_len {policy.max_len})"
+        table, trainable = _embedding(
+            rep.embedding, vocab, train_docs, config, derive_seed(seed, "embed")
+        )
+        bconfig = BiLstmConfig(
+            hidden1=config.bilstm_hidden1,
+            hidden2=config.bilstm_hidden2,
+            epochs=config.bilstm_epochs,
+            batch_size=config.bilstm_batch,
+            rmsprop=config.rmsprop(),
+            train_embeddings=trainable,
+        )
+        X = index_matrix(train_docs, vocab, policy)
+        model = bilstm_train(X, y_train, table, bconfig, seed=seed)
+        return PredictorHandle(
+            kind="bilstm", morbidity=morbidity, model=model, vocab=vocab, length_policy=policy
+        )
+    model_tf = tfidf_fit(fit_docs)
+    X = tfidf_matrix(train_docs, model_tf)
+    if rep.kind == "svm":
+        model = svm_train(X, y_train, lam=config.svm_lambda, epochs=config.svm_epochs, seed=seed)
+    else:
+        model = mlp_train(
+            X,
+            y_train,
+            hidden_size=config.mlp_hidden,
+            epochs=config.mlp_epochs,
+            rmsprop=config.rmsprop(),
+            seed=seed,
+            batch_size=config.mlp_batch,
+        )
+    return PredictorHandle(
+        kind=rep.kind, morbidity=morbidity, model=model, tfidf=model_tf, stopwords=_stopwords()
+    )
 
 
 def run_cell(
@@ -377,6 +405,7 @@ def run_cell(
 ) -> CellResult:
     """Score one (morbidity, representation) cell; degenerate data yields a skip."""
     started = time.perf_counter()
+    rep = REPRESENTATION_TABLE[representation]
     morbidity = dataset.morbidity
     labels = list(dataset.labels)
     n = len(labels)
@@ -394,19 +423,11 @@ def run_cell(
     counts = {c: labels.count(c) for c in (0, 1)}
     if min(counts.values()) < 2:
         return skip(f"class counts {counts[1]} positive / {counts[0]} negative; need >= 2 each")
-    if representation in ("bilstm_pretrained_w2v", "bilstm_glove"):
-        path = (
-            config.word2vec_path
-            if representation == "bilstm_pretrained_w2v"
-            else config.glove_path
-        )
-        if path is None:
-            return skip(f"no vector file configured for {representation}")
+    if rep.embedding in _VECTOR_FILE_FIELDS and getattr(config, rep.embedding) is None:
+        return skip(f"no vector file configured for {representation}")
 
-    token_lists = [tokenize(normalize_text(text)) for text in dataset.texts]
-    if representation in ("tfidf_svm", "tfidf_mlp"):
-        stop = _stopwords()
-        token_lists = [filter_for_tfidf(tokens, stop) for tokens in token_lists]
+    stopwords = None if rep.kind == "bilstm" else _stopwords()
+    token_lists = [note_tokens(text, stopwords) for text in dataset.texts]
 
     fold_seed = derive_seed(master_seed, morbidity, "folds")
     folds = stratified_kfold(labels, config.k, fold_seed)
@@ -415,49 +436,11 @@ def run_cell(
     results = []
     for fold in folds:
         seed = derive_seed(master_seed, morbidity, representation, fold.fold)
-        y_train = y[list(fold.train_indices)]
+        handle = _fit_fold(rep, morbidity, token_lists, fold, y, config, seed)
+        if isinstance(handle, str):
+            return skip(handle)
         y_test = y[list(fold.test_indices)]
-
-        if representation in ("tfidf_svm", "tfidf_mlp"):
-            X_train, X_test = _tfidf_fold(token_lists, fold, config.fit_scope)
-            if representation == "tfidf_svm":
-                model = svm_train(
-                    X_train, y_train, lam=config.svm_lambda, epochs=config.svm_epochs, seed=seed
-                )
-                scores = np.array([svm_decision(model, row) for row in X_test])
-                y_pred = (scores >= 0.0).astype(int)
-            else:
-                model = mlp_train(
-                    X_train,
-                    y_train,
-                    hidden_size=config.mlp_hidden,
-                    epochs=config.mlp_epochs,
-                    rmsprop=config.rmsprop(),
-                    seed=seed,
-                    batch_size=config.mlp_batch,
-                )
-                y_pred = (mlp_forward(model.params, X_test) >= 0.5).astype(int)
-        else:
-            vocab, policy, train_idx, test_idx = _sequence_fold(
-                token_lists, fold, config.fit_scope
-            )
-            train_tokens = [token_lists[i] for i in fold.train_indices]
-            table, trainable, reason = _embedding_for(
-                representation, vocab, train_tokens, config, derive_seed(seed, "embed")
-            )
-            if reason is not None:
-                return skip(reason)
-            bconfig = BiLstmConfig(
-                hidden1=config.bilstm_hidden1,
-                hidden2=config.bilstm_hidden2,
-                epochs=config.bilstm_epochs,
-                batch_size=config.bilstm_batch,
-                rmsprop=config.rmsprop(),
-                train_embeddings=trainable,
-            )
-            model = bilstm_train(train_idx, y_train, table, bconfig, seed=seed)
-            y_pred = (bilstm_forward(test_idx, model) >= 0.5).astype(int)
-
+        y_pred = predict_batch(handle, [token_lists[i] for i in fold.test_indices])
         tp, fp, fn, tn = confusion_counts(y_test, y_pred)
         f1 = f1_score(y_test, y_pred, weighted=config.weighted_f1)
         results.append(FoldResult(fold=fold.fold, f1=f1, tp=tp, fp=fp, fn=fn, tn=tn))
@@ -532,7 +515,7 @@ def run_experiment(
         for rep in config.representations
     ]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             cells = list(pool.map(_cell_task, tasks, chunksize=1))
     else:
         cells = [_cell_task(t) for t in tasks]

@@ -3,7 +3,6 @@ from morbench.models.lstm import (
     BiLstmModel,
     bilstm_forward,
     bilstm_train,
-    lstm_cell,
 )
 from morbench.models.mlp import MlpModel, mlp_forward, mlp_predict, mlp_train
 from morbench.models.predictor import PredictorHandle, predict
@@ -22,7 +21,6 @@ __all__ = [
     "bilstm_forward",
     "bilstm_train",
     "load_model",
-    "lstm_cell",
     "mlp_forward",
     "mlp_predict",
     "mlp_train",

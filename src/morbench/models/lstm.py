@@ -28,21 +28,6 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def lstm_cell(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, params: dict):
-    """One LSTM step. Accepts (B, D) batches or single (D,) vectors."""
-    H = params["U"].shape[0]
-    pre = x_t @ params["W"] + h_prev @ params["U"] + params["b"]
-    if pre.shape[-1] != 4 * H:
-        raise ValueError("inconsistent gate width")
-    i = _sigmoid(pre[..., 0 * H : 1 * H])
-    f = _sigmoid(pre[..., 1 * H : 2 * H])
-    o = _sigmoid(pre[..., 2 * H : 3 * H])
-    g = np.tanh(pre[..., 3 * H : 4 * H])
-    c_t = f * c_prev + i * g
-    h_t = o * np.tanh(c_t)
-    return h_t, c_t
-
-
 def _sequence_forward(X: np.ndarray, W, U, b):
     """Run one direction over (B, T, D); returns (H_out (B,T,H), cache)."""
     B, T, _ = X.shape
@@ -101,15 +86,6 @@ def _sequence_backward(dH: np.ndarray, cache):
         dX[:, t, :] = dpre @ W.T
         dh_next = dpre @ U.T
     return dX, dW, dU, db
-
-
-def bilstm_layer_forward(X: np.ndarray, forward_params: dict, backward_params: dict):
-    """Sequence-to-sequence bidirectional layer: concat(fwd states, bwd states)."""
-    fwd, _ = _sequence_forward(X, forward_params["W"], forward_params["U"], forward_params["b"])
-    bwd_rev, _ = _sequence_forward(
-        X[:, ::-1, :], backward_params["W"], backward_params["U"], backward_params["b"]
-    )
-    return np.concatenate([fwd, bwd_rev[:, ::-1, :]], axis=2)
 
 
 @dataclass(frozen=True)

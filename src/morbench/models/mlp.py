@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from morbench.models.rmsprop import Params, RmspropConfig, RmspropState, rmsprop_step
-from morbench.tfidf import DocTermMatrix
 
 
 @dataclass
@@ -77,7 +76,7 @@ def mlp_train(
     batch_size: int = 32,
 ) -> MlpModel:
     """Mini-batch backprop training; deterministic per seed."""
-    X = rows.to_dense() if isinstance(rows, DocTermMatrix) else np.asarray(rows, dtype=float)
+    X = np.asarray(rows, dtype=float)
     y = np.asarray(labels, dtype=float)
     if X.shape[0] != y.shape[0]:
         raise ValueError("row/label count mismatch")

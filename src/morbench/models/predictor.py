@@ -1,8 +1,22 @@
-"""Single-document prediction facade.
+"""Prediction through a trained classifier and its fitted featurizer.
 
 A PredictorHandle freezes one trained per-morbidity classifier together with
 the exact preprocessing fitted alongside it, so raw text maps to a 0/1 call
 without re-deriving any corpus statistics at prediction time.
+
+Each representation has one featurization path, and it lives here:
+
+* ``note_tokens``: lowercase and tokenize a note; the TF-IDF kinds (svm, mlp)
+  also drop stopwords and numbers;
+* ``tfidf_matrix`` (svm, mlp): dense TF-IDF rows, each scaled to a peak of 1;
+* ``index_matrix`` (bilstm): vocabulary indices padded or truncated to the
+  fitted length.
+
+``predict_batch`` runs a handle's featurizer and model over many notes.
+Cross-validation (morbench.eval) builds its training matrices with the same
+functions and scores every held-out fold through ``predict_batch``, so a
+handle predicts with exactly the code whose F1 the report shows. ``predict``
+is a one-note call of ``predict_batch``.
 """
 
 from __future__ import annotations
@@ -11,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from morbench.models import mlp, svm
 from morbench.models.lstm import BiLstmModel, bilstm_forward
-from morbench.models.mlp import MlpModel, mlp_predict
-from morbench.models.svm import SvmModel, svm_predict
 from morbench.preprocess import (
     LengthPolicy,
     Vocabulary,
@@ -32,7 +45,7 @@ KINDS = ("svm", "mlp", "bilstm")
 class PredictorHandle:
     kind: str  # one of KINDS
     morbidity: str
-    model: SvmModel | MlpModel | BiLstmModel
+    model: svm.SvmModel | mlp.MlpModel | BiLstmModel
     # tf-idf path
     tfidf: TfidfModel | None = None
     stopwords: frozenset | None = None
@@ -51,13 +64,40 @@ class PredictorHandle:
                 raise ValueError("bilstm predictor needs vocabulary and length policy")
 
 
-def _tfidf_row(handle: PredictorHandle, text: str) -> np.ndarray:
-    tokens = filter_for_tfidf(tokenize(normalize_text(text)), handle.stopwords)
-    sparse = normalize_row(transform(tokens, handle.tfidf))
-    dense = np.zeros(len(handle.tfidf.columns))
-    for col, weight in sparse:
-        dense[col] = weight
-    return dense
+def note_tokens(text: str, stopwords: frozenset | None = None) -> list[str]:
+    """Tokens of one raw note; with stopwords, the TF-IDF filter is applied too."""
+    tokens = tokenize(normalize_text(text))
+    return tokens if stopwords is None else filter_for_tfidf(tokens, stopwords)
+
+
+def tfidf_matrix(token_lists, model: TfidfModel) -> np.ndarray:
+    """Dense (documents x columns) TF-IDF matrix, each row scaled by its maximum."""
+    X = np.zeros((len(token_lists), len(model.columns)))
+    for r, tokens in enumerate(token_lists):
+        for col, weight in normalize_row(transform(tokens, model)):
+            X[r, col] = weight
+    return X
+
+
+def index_matrix(token_lists, vocab: Vocabulary, policy: LengthPolicy) -> np.ndarray:
+    """(documents x max_len) vocabulary indices, padded or truncated per the policy."""
+    return np.array(
+        [pad_truncate(encode(tokens, vocab), policy).indices for tokens in token_lists],
+        dtype=np.intp,
+    )
+
+
+def predict_batch(handle: PredictorHandle, token_lists) -> np.ndarray:
+    """0/1 labels for notes already split by ``note_tokens(text, handle.stopwords)``."""
+    if handle.kind == "bilstm":
+        X = index_matrix(token_lists, handle.vocab, handle.length_policy)
+        return (bilstm_forward(X, handle.model) >= 0.5).astype(int)
+    X = tfidf_matrix(token_lists, handle.tfidf)
+    if handle.kind == "svm":
+        # row by row, so each note in a batch scores exactly as a one-note call does
+        scores = np.array([svm.svm_decision(handle.model, row) for row in X])
+        return (scores >= 0.0).astype(int)
+    return (mlp.mlp_forward(handle.model.params, X) >= 0.5).astype(int)
 
 
 def predict(handle: PredictorHandle, text: str, morbidity: str) -> int:
@@ -66,11 +106,4 @@ def predict(handle: PredictorHandle, text: str, morbidity: str) -> int:
         raise ValueError(
             f"predictor was trained for {handle.morbidity!r}, asked about {morbidity!r}"
         )
-    if handle.kind == "svm":
-        return svm_predict(handle.model, _tfidf_row(handle, text))
-    if handle.kind == "mlp":
-        return mlp_predict(handle.model, _tfidf_row(handle, text))
-    indices = encode(tokenize(normalize_text(text)), handle.vocab)
-    doc = pad_truncate(indices, handle.length_policy)
-    prob = bilstm_forward([doc], handle.model)[0]
-    return 1 if prob >= 0.5 else 0
+    return int(predict_batch(handle, [note_tokens(text, handle.stopwords)])[0])

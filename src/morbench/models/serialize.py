@@ -67,6 +67,8 @@ def load_model(path: str | Path):
     blob = Path(path).read_bytes()
     if blob[:8] != MAGIC:
         raise ValueError(f"{path}: not a model file (bad magic)")
+    if len(blob) < 16:
+        raise ValueError(f"{path}: truncated model file")
     version, header_len = struct.unpack("<II", blob[8:16])
     if version != VERSION:
         raise ValueError(f"{path}: unsupported model format version {version}")

@@ -11,20 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from morbench.tfidf import DocTermMatrix
-
 
 @dataclass
 class SvmModel:
     weights: np.ndarray
     bias: float
     lam: float
-
-
-def _as_dense(rows) -> np.ndarray:
-    if isinstance(rows, DocTermMatrix):
-        return rows.to_dense()
-    return np.asarray(rows, dtype=float)
 
 
 def hinge_objective(model: SvmModel, X: np.ndarray, y_signed: np.ndarray) -> float:
@@ -37,7 +29,7 @@ def hinge_objective(model: SvmModel, X: np.ndarray, y_signed: np.ndarray) -> flo
 
 def svm_train(rows, labels, lam: float = 1e-4, epochs: int = 50, seed: int = 0) -> SvmModel:
     """Pegasos-style SGD over seeded per-epoch shuffles; deterministic per seed."""
-    X = _as_dense(rows)
+    X = np.asarray(rows, dtype=float)
     y = np.asarray(labels, dtype=int)
     if X.shape[0] != y.shape[0]:
         raise ValueError("row/label count mismatch")

@@ -13,8 +13,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 # A sparse row: (column, weight) pairs sorted by column, one entry per
 # distinct in-vocabulary word present in the document.
 SparseRow = tuple[tuple[int, float], ...]
@@ -32,19 +30,6 @@ class TfidfModel:
 
     def idf(self, word: str) -> float:
         return math.log(self.corpus_size / self.doc_freq[word])
-
-
-@dataclass(frozen=True)
-class DocTermMatrix:
-    n_columns: int
-    rows: tuple[SparseRow, ...]
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((len(self.rows), self.n_columns))
-        for i, row in enumerate(self.rows):
-            for col, weight in row:
-                dense[i, col] = weight
-        return dense
 
 
 def fit(token_lists: list[list[str]]) -> TfidfModel:
@@ -76,31 +61,3 @@ def normalize_row(row: SparseRow) -> SparseRow:
     if peak <= 0.0:
         return row
     return tuple((col, w / peak) for col, w in row)
-
-
-def normalize_rows(matrix: DocTermMatrix) -> DocTermMatrix:
-    """Scale each row by its maximum weight; all-zero rows stay unchanged."""
-    return DocTermMatrix(
-        n_columns=matrix.n_columns,
-        rows=tuple(normalize_row(row) for row in matrix.rows),
-    )
-
-
-def fit_transform(token_lists: list[list[str]]) -> tuple[TfidfModel, DocTermMatrix]:
-    model = fit(token_lists)
-    raw = DocTermMatrix(
-        n_columns=len(model.columns),
-        rows=tuple(transform(tokens, model) for tokens in token_lists),
-    )
-    return model, normalize_rows(raw)
-
-
-def matrix_to_csv(matrix: DocTermMatrix, model: TfidfModel) -> str:
-    """Dense CSV dump (header = vocabulary words) for debugging."""
-    lines = [",".join(model.words)]
-    for row in matrix.rows:
-        dense = [0.0] * matrix.n_columns
-        for col, weight in row:
-            dense[col] = weight
-        lines.append(",".join(repr(v) for v in dense))
-    return "\n".join(lines) + "\n"

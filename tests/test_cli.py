@@ -211,6 +211,15 @@ def test_k_below_two_is_a_usage_error(workspace, capsys):
     assert "at least 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_jobs_below_one_is_a_usage_error(workspace, capsys, jobs):
+    corpus = _synth(workspace)
+    code = main(["run", str(corpus), "--jobs", jobs, "--out", str(workspace / "r")])
+    assert code == 2
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not (workspace / "r").exists()
+
+
 def test_unexpected_exception_maps_to_exit_one(workspace, monkeypatch, capsys):
     corpus = _synth(workspace)
 

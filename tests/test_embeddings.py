@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from morbench.embeddings import (
-    EmbeddingTable,
     SkipgramConfig,
     load_pretrained,
-    lookup_sequence,
     negative_sampling_cumulative,
     pair_gradients,
     pair_loss,
@@ -16,7 +14,7 @@ from morbench.embeddings import (
     train_skipgram,
 )
 from morbench.errors import VectorFileError
-from morbench.preprocess import build_vocabulary, compute_max_len, encode, pad_truncate
+from morbench.preprocess import build_vocabulary, encode
 
 TOY_DOCS = [["cat", "dog", "cat", "pet"], ["dog", "cat", "pet"], ["rock", "sand"]] * 4
 
@@ -183,13 +181,3 @@ def test_load_rejects_non_finite(tmp_path):
     vocab = build_vocabulary([["word"]])
     with pytest.raises(VectorFileError):
         load_pretrained(path, vocab, dim=2)
-
-
-def test_lookup_sequence():
-    table = EmbeddingTable(rows=np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]]))
-    doc = pad_truncate([1, 2], compute_max_len([3]))
-    stacked = lookup_sequence(doc, table)
-    assert stacked.shape == (3, 2)
-    assert np.array_equal(stacked, [[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        lookup_sequence([5], table)

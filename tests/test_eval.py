@@ -15,13 +15,13 @@ from morbench.corpus import (
 )
 from morbench.errors import ConfigError
 from morbench.eval import (
+    REPRESENTATION_TABLE,
     REPRESENTATIONS,
     CellResult,
     ExperimentConfig,
     ExperimentReport,
     FoldResult,
-    _sequence_fold,
-    _tfidf_fold,
+    _fit_fold,
     config_from_dict,
     config_to_dict,
     confusion_counts,
@@ -236,41 +236,51 @@ def _token_lists(dataset):
     return [tokenize(normalize_text(t)) for t in dataset.texts]
 
 
+def _fit(representation, token_lists, fold, labels, **overrides):
+    rep = REPRESENTATION_TABLE[representation]
+    config = _cheap_config(**overrides)
+    return _fit_fold(rep, "Gout", token_lists, fold, np.asarray(labels), config, seed=0)
+
+
 def test_tfidf_fold_ignores_test_documents():
     dataset = _marker_dataset(positives=10, negatives=10)
     tokens = _token_lists(dataset)
     folds = stratified_kfold(dataset.labels, 4, seed=0)
     fold = folds[0]
-    train_a, _ = _tfidf_fold(tokens, fold, "fold")
+    a = _fit("tfidf_svm", tokens, fold, dataset.labels)
     mutated = list(tokens)
     for i in fold.test_indices:
         mutated[i] = ["entirely", "different", "words", "here"]
-    train_b, _ = _tfidf_fold(mutated, fold, "fold")
-    np.testing.assert_array_equal(train_a, train_b)
+    b = _fit("tfidf_svm", mutated, fold, dataset.labels)
+    assert a.tfidf == b.tfidf
+    np.testing.assert_array_equal(a.model.weights, b.model.weights)
+    assert a.model.bias == b.model.bias
 
 
 def test_sequence_fold_ignores_test_documents():
     dataset = _marker_dataset(positives=10, negatives=10)
     tokens = _token_lists(dataset)
     fold = stratified_kfold(dataset.labels, 4, seed=0)[1]
-    vocab_a, policy_a, train_a, _ = _sequence_fold(tokens, fold, "fold")
+    a = _fit("bilstm_random", tokens, fold, dataset.labels)
     mutated = list(tokens)
     for i in fold.test_indices:
         mutated[i] = ["zzz"] * 50
-    vocab_b, policy_b, train_b, _ = _sequence_fold(mutated, fold, "fold")
-    assert vocab_a.index == vocab_b.index
-    assert policy_a == policy_b
-    np.testing.assert_array_equal(train_a, train_b)
+    b = _fit("bilstm_random", mutated, fold, dataset.labels)
+    assert a.vocab.index == b.vocab.index
+    assert a.length_policy == b.length_policy
+    for name, value in a.model.params.items():
+        np.testing.assert_array_equal(value, b.model.params[name])
 
 
 def test_corpus_scope_widens_tfidf_vocabulary():
     tokens = [["alpha", "beta"], ["beta", "gamma"], ["delta", "alpha"], ["epsilon", "zeta"]]
-    fold = stratified_kfold([0, 1, 0, 1], 2, seed=0)[0]
-    train_fold, _ = _tfidf_fold(tokens, fold, "fold")
-    train_corpus, _ = _tfidf_fold(tokens, fold, "corpus")
+    labels = [0, 1, 0, 1]
+    fold = stratified_kfold(labels, 2, seed=0)[0]
+    by_fold = _fit("tfidf_svm", tokens, fold, labels, fit_scope="fold")
+    by_corpus = _fit("tfidf_svm", tokens, fold, labels, fit_scope="corpus")
     fit_words = {w for i in fold.train_indices for w in tokens[i]}
-    assert train_fold.shape[1] == len(fit_words)
-    assert train_corpus.shape[1] == len({w for doc in tokens for w in doc})
+    assert len(by_fold.tfidf.columns) == len(fit_words)
+    assert len(by_corpus.tfidf.columns) == len({w for doc in tokens for w in doc})
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +359,16 @@ def test_run_cell_skips_unconfigured_vector_files():
     assert cell.skipped is not None and "bilstm_glove" in cell.skipped
 
 
+def test_run_cell_skips_notes_without_tokens():
+    dataset = _dataset("Gout", ["!!! ... ???"] * 20, [1, 0] * 10)
+    config = _cheap_config(representations=("bilstm_random",))
+    report = run_experiment({"Gout": dataset}, config, master_seed=0)
+    (cell,) = report.cells
+    assert cell.skipped is not None and "max_len 0" in cell.skipped
+    (line,) = raw_rows(report)
+    assert json.loads(line)["skipped"] == cell.skipped
+
+
 def test_run_cell_is_deterministic():
     dataset = _marker_dataset(positives=8, negatives=8)
     config = _cheap_config(representations=("bilstm_random",))
@@ -395,6 +415,27 @@ def test_parallel_run_matches_sequential_bytes():
     assert render_report_markdown(seq) == render_report_markdown(par)
     assert render_report_csv(seq) == render_report_csv(par)
     assert raw_rows(seq) == raw_rows(par)
+
+
+def test_pool_has_no_more_workers_than_cells(monkeypatch):
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("morbench.eval.ProcessPoolExecutor", RecordingPool)
+    report = _tiny_experiment(jobs=64)
+    assert seen == [len(report.cells)] == [2]
 
 
 def test_render_markdown_layout_and_average():

@@ -12,11 +12,9 @@ from morbench.models.lstm import (
     _sequence_forward,
     bilstm_forward,
     bilstm_gradients,
-    bilstm_layer_forward,
     bilstm_loss,
     bilstm_train,
     init_params,
-    lstm_cell,
 )
 from morbench.preprocess import EncodedDoc
 
@@ -42,14 +40,18 @@ def _rel_error(a, b):
 
 
 # ---------------------------------------------------------------------------
-# single cell
+# single cell: the recurrence of _sequence_forward, one step at a time
+
+
+def _run(X, params):
+    out, _ = _sequence_forward(np.asarray(X, dtype=float), params["W"], params["U"], params["b"])
+    return out
 
 
 def test_cell_zero_parameters_give_zero_state():
     params = _cell_params(3, 2)
-    h, c = lstm_cell(np.ones(3), np.zeros(2), np.zeros(2), params)
-    np.testing.assert_array_equal(h, np.zeros(2))
-    np.testing.assert_array_equal(c, np.zeros(2))
+    h = _run(np.ones((1, 1, 3)), params)
+    np.testing.assert_array_equal(h, np.zeros((1, 1, 2)))
 
 
 def test_cell_hand_values_with_unit_candidate_bias():
@@ -58,35 +60,22 @@ def test_cell_hand_values_with_unit_candidate_bias():
     #   c1 = 0.5 * tanh(1)            = 0.3807970...
     #   h1 = 0.5 * tanh(0.5 * tanh(1)) = 0.1817002...
     params = _cell_params(2, 1, b_g=1.0)
-    h1, c1 = lstm_cell(np.zeros(2), np.zeros(1), np.zeros(1), params)
-    assert c1[0] == pytest.approx(0.5 * np.tanh(1.0), abs=1e-12)
-    assert h1[0] == pytest.approx(0.5 * np.tanh(0.5 * np.tanh(1.0)), abs=1e-12)
-    assert c1[0] == pytest.approx(0.38080, abs=1e-5)
-    assert h1[0] == pytest.approx(0.18170, abs=1e-5)
-    # second step feeds h1/c1 back in; only the recurrent state changes the result
-    h2, c2 = lstm_cell(np.zeros(2), h1, c1, params)
-    assert c2[0] == pytest.approx(0.5 * c1[0] + 0.5 * np.tanh(1.0), abs=1e-12)
-    assert h2[0] == pytest.approx(0.5 * np.tanh(c2[0]), abs=1e-12)
+    h = _run(np.zeros((1, 2, 2)), params)[0, :, 0]
+    c1 = 0.5 * np.tanh(1.0)
+    assert h[0] == pytest.approx(0.5 * np.tanh(c1), abs=1e-12)
+    assert h[0] == pytest.approx(0.18170, abs=1e-5)
+    # the second step feeds h1/c1 back in; only the recurrent state changes the result
+    c2 = 0.5 * c1 + 0.5 * np.tanh(1.0)
+    assert h[1] == pytest.approx(0.5 * np.tanh(c2), abs=1e-12)
 
 
 def test_cell_accepts_batched_and_single_inputs():
     rng = np.random.default_rng(0)
     params = _cell_params(3, 4, rng)
-    x = rng.standard_normal((5, 3))
-    h0 = rng.standard_normal((5, 4))
-    c0 = rng.standard_normal((5, 4))
-    h_batch, c_batch = lstm_cell(x, h0, c0, params)
+    X = rng.standard_normal((5, 2, 3))
+    batch = _run(X, params)
     for row in range(5):
-        h_one, c_one = lstm_cell(x[row], h0[row], c0[row], params)
-        np.testing.assert_allclose(h_batch[row], h_one, rtol=1e-12)
-        np.testing.assert_allclose(c_batch[row], c_one, rtol=1e-12)
-
-
-def test_cell_rejects_inconsistent_gate_width():
-    # pre-activations come out 12 wide but U says the hidden size is 2 (4H = 8)
-    params = {"W": np.zeros((3, 12)), "U": np.zeros((2, 12)), "b": np.zeros(12)}
-    with pytest.raises(ValueError, match="gate width"):
-        lstm_cell(np.zeros(3), np.zeros(2), np.zeros(2), params)
+        np.testing.assert_allclose(batch[row], _run(X[row : row + 1], params)[0], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +118,12 @@ def test_layer_reversal_symmetry():
     X = rng.standard_normal((2, 5, 3))
     pf = _cell_params(3, 4, rng)
     pb = _cell_params(3, 4, rng)
-    out = bilstm_layer_forward(X, pf, pb)
-    out_swapped = bilstm_layer_forward(X[:, ::-1, :], pb, pf)
+
+    def layer(X_, forward, backward):
+        return np.concatenate([_run(X_, forward), _run(X_[:, ::-1, :], backward)[:, ::-1, :]], axis=2)
+
+    out = layer(X, pf, pb)
+    out_swapped = layer(X[:, ::-1, :], pb, pf)
     H = 4
     np.testing.assert_allclose(out_swapped[:, :, :H], out[:, ::-1, H:], rtol=1e-12)
     np.testing.assert_allclose(out_swapped[:, :, H:], out[:, ::-1, :H], rtol=1e-12)

@@ -1,11 +1,12 @@
 """End-to-end single-document prediction through PredictorHandle."""
 
-import numpy as np
 import pytest
 
 from morbench.embeddings import random_table
 from morbench.models.lstm import BiLstmConfig, bilstm_train
-from morbench.models.predictor import KINDS, PredictorHandle, predict
+from morbench.models.mlp import mlp_train
+from morbench.models.predictor import KINDS, PredictorHandle, predict, tfidf_matrix
+from morbench.models.rmsprop import RmspropConfig
 from morbench.models.svm import svm_train
 from morbench.preprocess import (
     build_vocabulary,
@@ -17,10 +18,10 @@ from morbench.preprocess import (
     pad_truncate,
     tokenize,
 )
-from morbench.tfidf import fit, normalize_row, transform
+from morbench.tfidf import fit
 
 
-def _svm_handle():
+def _tfidf_handle(kind):
     texts = [
         "patient reports severe gout flare in the left toe",
         "gout attack treated with colchicine today",
@@ -31,17 +32,19 @@ def _svm_handle():
     stopwords = load_stopwords()
     docs = [filter_for_tfidf(tokenize(normalize_text(t)), stopwords) for t in texts]
     model = fit(docs)
-    rows = []
-    for tokens in docs:
-        sparse = normalize_row(transform(tokens, model))
-        dense = np.zeros(len(model.columns))
-        for col, w in sparse:
-            dense[col] = w
-        rows.append(dense)
-    svm = svm_train(np.array(rows), labels, lam=1e-2, epochs=40, seed=0)
+    X = tfidf_matrix(docs, model)
+    if kind == "svm":
+        trained = svm_train(X, labels, lam=1e-2, epochs=40, seed=0)
+    else:
+        rmsprop = RmspropConfig(learning_rate=0.01)
+        trained = mlp_train(X, labels, hidden_size=8, epochs=200, rmsprop=rmsprop, seed=0)
     return PredictorHandle(
-        kind="svm", morbidity="Gout", model=svm, tfidf=model, stopwords=frozenset(stopwords)
+        kind=kind, morbidity="Gout", model=trained, tfidf=model, stopwords=frozenset(stopwords)
     )
+
+
+def _svm_handle():
+    return _tfidf_handle("svm")
 
 
 def test_kinds_constant():
@@ -50,6 +53,12 @@ def test_kinds_constant():
 
 def test_svm_handle_classifies_seen_texts():
     handle = _svm_handle()
+    assert predict(handle, "severe gout flare again", "Gout") == 1
+    assert predict(handle, "routine follow up, stable", "Gout") == 0
+
+
+def test_mlp_handle_classifies_seen_texts():
+    handle = _tfidf_handle("mlp")
     assert predict(handle, "severe gout flare again", "Gout") == 1
     assert predict(handle, "routine follow up, stable", "Gout") == 0
 

@@ -97,6 +97,18 @@ def test_load_rejects_truncated_payload(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("make", [_svm_model, _mlp_model, _bilstm_model])
+def test_every_truncation_raises_value_error(tmp_path, make):
+    path = tmp_path / "m.bin"
+    save_model(make(), path)
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for end in range(len(blob)):
+        cut.write_bytes(blob[:end])
+        with pytest.raises(ValueError):
+            load_model(cut)
+
+
 def test_load_rejects_trailing_bytes(tmp_path):
     model = _svm_model()
     path = tmp_path / "m.bin"

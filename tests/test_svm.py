@@ -5,7 +5,6 @@ import pytest
 
 from morbench.eval import f1_score
 from morbench.models.svm import SvmModel, hinge_objective, svm_decision, svm_predict, svm_train
-from morbench.tfidf import fit_transform
 
 SEPARABLE_X = np.array(
     [
@@ -85,13 +84,3 @@ def test_training_is_deterministic_per_seed():
     np.testing.assert_array_equal(a.weights, b.weights)
     assert a.bias == b.bias
     assert not (np.array_equal(a.weights, c.weights) and a.bias == c.bias)
-
-
-def test_doc_term_matrix_accepted_directly():
-    docs = [["aspirin", "daily"], ["statin", "nightly"], ["aspirin", "statin"]]
-    _, matrix = fit_transform(docs)
-    labels = [1, 0, 1]
-    model = svm_train(matrix, labels, lam=1e-2, epochs=30, seed=0)
-    dense = matrix.to_dense()
-    preds = [svm_predict(model, row) for row in dense]
-    assert preds == labels

@@ -5,15 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from morbench.tfidf import (
-    DocTermMatrix,
-    fit,
-    fit_transform,
-    matrix_to_csv,
-    normalize_row,
-    normalize_rows,
-    transform,
-)
+from morbench.models.predictor import tfidf_matrix
+from morbench.tfidf import fit, normalize_row, transform
 
 
 def oracle_tfidf(docs: list[list[str]]) -> list[dict[str, float]]:
@@ -95,31 +88,25 @@ def test_no_smoothing_single_doc_corpus():
 
 def test_full_vocabulary_is_feature_space():
     docs = [["a", "b"], ["c"], ["a", "d", "e"]]
-    model, matrix = fit_transform(docs)
-    assert matrix.n_columns == 5  # every distinct token is a column
+    model = fit(docs)
+    assert tfidf_matrix(docs, model).shape == (3, 5)  # every distinct token is a column
     assert model.words == sorted(["a", "b", "c", "d", "e"])  # lexicographic columns
 
 
 def test_row_normalization():
     docs = [["a", "a", "b"], ["b", "c"]]
-    model, matrix = fit_transform(docs)
-    dense = matrix.to_dense()
+    dense = tfidf_matrix(docs, fit(docs))
     for r in range(dense.shape[0]):
         if dense[r].max() > 0:
             assert dense[r].max() == pytest.approx(1.0, abs=1e-15)
     assert dense.min() >= 0.0 and dense.max() <= 1.0
+    assert normalize_row(((0, 0.5), (1, 0.25))) == ((0, 1.0), (1, 0.5))
 
 
 def test_normalize_leaves_all_zero_rows_alone():
     assert normalize_row(()) == ()
     row = ((0, 0.0), (2, 0.0))
     assert normalize_row(row) == row
-
-
-def test_normalize_rows_wraps_each_row():
-    raw = DocTermMatrix(n_columns=2, rows=(((0, 0.5), (1, 0.25)),))
-    normalized = normalize_rows(raw)
-    assert normalized.rows[0] == ((0, 1.0), (1, 0.5))
 
 
 def test_empty_document_transforms_to_empty_row():
@@ -140,11 +127,9 @@ def test_out_of_vocabulary_ignored_at_transform():
     assert transform(["zzz"], model) == ()
 
 
-def test_deterministic_and_csv_header():
+def test_deterministic_and_column_order():
     docs = [["b", "a"], ["a"]]
-    m1, x1 = fit_transform(docs)
-    m2, x2 = fit_transform(docs)
-    assert x1 == x2 and m1 == m2
-    csv = matrix_to_csv(x1, m1)
-    assert csv.splitlines()[0] == "a,b"
-    assert matrix_to_csv(x2, m2) == csv
+    m1, m2 = fit(docs), fit(docs)
+    assert m1 == m2
+    assert m1.words == ["a", "b"]
+    np.testing.assert_array_equal(tfidf_matrix(docs, m1), tfidf_matrix(docs, m2))
