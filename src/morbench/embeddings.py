@@ -5,7 +5,9 @@ GloVe files, or our own trainer's output): one ``word v1 ... v_dim`` entry
 per line, with an optional ``V dim`` header. The trainer implements
 skip-gram with negative sampling from scratch; per-pair loss
 ``-log s(u_o.v_c) - sum_k log s(-u_k.v_c)`` optimized by plain SGD with a
-linearly decaying learning rate.
+linearly decaying learning rate. Each pair step computes ``u_o.v_c`` and
+``u_neg @ v_c`` once and derives the loss and every gradient from them
+(``pair_loss_and_gradients``); a document's negatives are drawn in one call.
 """
 
 from __future__ import annotations
@@ -56,39 +58,58 @@ def load_pretrained(path, vocab: Vocabulary, dim: int) -> tuple[EmbeddingTable, 
     """Fill an embedding table from a text vector file.
 
     Vocabulary words absent from the file keep the zero vector; the number of
-    such words is returned alongside the table.
+    such words is returned alongside the table. A file that cannot be read or
+    is not UTF-8 raises VectorFileError naming the path.
     """
     rows = np.zeros((len(vocab) + 1, dim))
     found = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            parts = [p for p in parts if p]
-            if not parts:
-                continue
-            if lineno == 1 and len(parts) == 2:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.rstrip("\n").split(" ")
+                parts = [p for p in parts if p]
+                if not parts:
+                    continue
+                if lineno == 1 and len(parts) == 2:
+                    try:
+                        int(parts[0]), int(parts[1])
+                        continue  # header line
+                    except ValueError:
+                        pass
+                word, values = parts[0], parts[1:]
+                if len(values) != dim:
+                    raise VectorFileError(
+                        f"{path}: line {lineno}: expected {dim} values, found {len(values)}"
+                    )
+                if word not in vocab:
+                    continue
                 try:
-                    int(parts[0]), int(parts[1])
-                    continue  # header line
-                except ValueError:
-                    pass
-            word, values = parts[0], parts[1:]
-            if len(values) != dim:
-                raise VectorFileError(
-                    f"line {lineno}: expected {dim} values, found {len(values)}"
-                )
-            if word not in vocab:
-                continue
-            try:
-                vector = np.array([float(v) for v in values])
-            except ValueError as exc:
-                raise VectorFileError(f"line {lineno}: bad float ({exc})") from exc
-            if not np.all(np.isfinite(vector)):
-                raise VectorFileError(f"line {lineno}: non-finite value")
-            rows[vocab[word]] = vector
-            found.add(word)
+                    vector = np.array([float(v) for v in values])
+                except ValueError as exc:
+                    raise VectorFileError(f"{path}: line {lineno}: bad float ({exc})") from exc
+                if not np.all(np.isfinite(vector)):
+                    raise VectorFileError(f"{path}: line {lineno}: non-finite value")
+                rows[vocab[word]] = vector
+                found.add(word)
+    except OSError as exc:
+        raise VectorFileError(f"{path}: cannot read vector file ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise VectorFileError(f"{path}: vector file is not UTF-8 ({exc.reason})") from exc
     oov_count = len(vocab) - len(found)
     return EmbeddingTable(rows=rows), oov_count
+
+
+def restrict_table(
+    table: EmbeddingTable, table_vocab: Vocabulary, vocab: Vocabulary
+) -> EmbeddingTable:
+    """The rows of ``table`` (aligned to ``table_vocab``) for a sub-vocabulary.
+
+    Every word of ``vocab`` must be in ``table_vocab``; rows are copied, so the
+    result equals loading the same vector file against ``vocab`` directly.
+    """
+    rows = np.zeros((len(vocab) + 1, table.dim))
+    rows[list(vocab.index.values())] = table.rows[[table_vocab[w] for w in vocab.index]]
+    return EmbeddingTable(rows=rows)
 
 
 def save_vectors(table: EmbeddingTable, vocab: Vocabulary, path) -> None:
@@ -113,22 +134,34 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def pair_loss_and_gradients(v_c: np.ndarray, u_o: np.ndarray, u_neg: np.ndarray):
+    """Loss of one (center, context) pair with k negatives, and its gradients.
+
+    Returns ``(loss, (g_v, g_uo, g_uneg))``: the gradients are w.r.t. v_c, u_o
+    and each negative u_k. Both come from one ``u_o.v_c`` and one
+    ``u_neg @ v_c``.
+    """
+    pos = float(u_o @ v_c)
+    neg = u_neg @ v_c  # shape (k,)
+    loss = -_log_sigmoid(pos)
+    for x in neg.tolist():
+        loss -= _log_sigmoid(-x)
+    pos_err = _sigmoid(pos) - 1.0  # in (-1, 0)
+    neg_err = _sigmoid(neg)
+    g_v = pos_err * u_o + neg_err @ u_neg
+    g_uo = pos_err * v_c
+    g_uneg = neg_err[:, None] * v_c[None, :]
+    return loss, (g_v, g_uo, g_uneg)
+
+
 def pair_loss(v_c: np.ndarray, u_o: np.ndarray, u_neg: np.ndarray) -> float:
     """Negative-sampling loss of one (center, context) pair with k negatives."""
-    loss = -_log_sigmoid(float(u_o @ v_c))
-    for k in range(u_neg.shape[0]):
-        loss -= _log_sigmoid(-float(u_neg[k] @ v_c))
-    return loss
+    return pair_loss_and_gradients(v_c, u_o, u_neg)[0]
 
 
 def pair_gradients(v_c, u_o, u_neg):
     """Gradients of pair_loss w.r.t. (v_c, u_o, each negative u_k)."""
-    pos_err = _sigmoid(float(u_o @ v_c)) - 1.0  # in (-1, 0)
-    neg_err = _sigmoid(u_neg @ v_c)  # shape (k,)
-    g_v = pos_err * u_o + neg_err @ u_neg
-    g_uo = pos_err * v_c
-    g_uneg = neg_err[:, None] * v_c[None, :]
-    return g_v, g_uo, g_uneg
+    return pair_loss_and_gradients(v_c, u_o, u_neg)[1]
 
 
 def negative_sampling_cumulative(counts: np.ndarray) -> np.ndarray:
@@ -175,12 +208,13 @@ def train_skipgram(
         for idx in doc:
             counts[idx] += 1
 
-    pairs_per_epoch = 0
+    doc_pairs = []
     for doc in docs:
         n = len(doc)
-        for i in range(n):
-            lo, hi = max(0, i - config.window), min(n, i + config.window + 1)
-            pairs_per_epoch += hi - lo - 1
+        doc_pairs.append(
+            sum(min(n, i + config.window + 1) - max(0, i - config.window) - 1 for i in range(n))
+        )
+    pairs_per_epoch = sum(doc_pairs)
     total_updates = pairs_per_epoch * config.epochs
     if total_updates == 0:
         return EmbeddingTable(rows=centers), []
@@ -188,11 +222,16 @@ def train_skipgram(
     cumulative = negative_sampling_cumulative(counts[1:])
 
     lr0 = config.learning_rate
+    k = config.negatives
     epoch_losses = []
     t = 0
     for _ in range(config.epochs):
         epoch_loss = 0.0
-        for doc in docs:
+        for doc, n_pairs in zip(docs, doc_pairs):
+            # one draw per document is the same stream as k draws per pair;
+            # indices 1..V, so the padding row is never sampled
+            doc_negs = (np.searchsorted(cumulative, rng.random(n_pairs * k)) + 1).reshape(-1, k)
+            p = 0
             n = len(doc)
             for i in range(n):
                 center = doc[i]
@@ -201,21 +240,20 @@ def train_skipgram(
                     if j == i:
                         continue
                     context = doc[j]
-                    # indices 1..V; padding row is never sampled
-                    negs = np.searchsorted(cumulative, rng.random(config.negatives)) + 1
+                    negs = doc_negs[p]
                     if total_updates > 1:
                         lr = lr0 * (1.0 - 0.9 * t / (total_updates - 1))
                     else:
                         lr = lr0
                     v_c = centers[center]
                     u_o = contexts[context]
-                    u_neg = contexts[negs]
-                    epoch_loss += pair_loss(v_c, u_o, u_neg)
-                    g_v, g_uo, g_uneg = pair_gradients(v_c, u_o, u_neg)
-                    centers[center] = v_c - lr * g_v
-                    contexts[context] = u_o - lr * g_uo
+                    loss, (g_v, g_uo, g_uneg) = pair_loss_and_gradients(v_c, u_o, contexts[negs])
+                    epoch_loss += loss
+                    v_c -= lr * g_v  # views: these update the tables in place
+                    u_o -= lr * g_uo
                     # repeated negatives must accumulate
                     np.subtract.at(contexts, negs, lr * g_uneg)
+                    p += 1
                     t += 1
         epoch_losses.append(epoch_loss / pairs_per_epoch)
     centers[PAD_ROW] = 0.0

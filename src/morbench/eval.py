@@ -26,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from morbench.corpus import MORBIDITIES, MorbidityDataset
-from morbench.embeddings import SkipgramConfig, load_pretrained, random_table, train_skipgram
+from morbench.embeddings import (
+    SkipgramConfig,
+    load_pretrained,
+    random_table,
+    restrict_table,
+    train_skipgram,
+)
 from morbench.errors import ConfigError
 from morbench.models.lstm import BiLstmConfig, bilstm_train
 from morbench.models.mlp import mlp_train
@@ -329,8 +335,12 @@ def _stopwords() -> frozenset:
     return _STOPWORDS
 
 
-def _embedding(source: str, vocab, train_docs, config: ExperimentConfig, seed: int):
-    """Embedding table for a BiLSTM, and whether training may update it."""
+def _embedding(source: str, vocab, train_docs, config: ExperimentConfig, seed: int, pretrained):
+    """Embedding table for a BiLSTM, and whether training may update it.
+
+    A vector-file source copies the fold's rows out of ``pretrained``, the
+    (vocabulary, table) pair run_cell loaded once for the whole cell.
+    """
     if source == "random":
         return random_table(len(vocab), config.embed_dim, seed), True
     if source == "skipgram":
@@ -344,18 +354,27 @@ def _embedding(source: str, vocab, train_docs, config: ExperimentConfig, seed: i
         )
         table, _ = train_skipgram(train_docs, vocab, sg)
         return table, False
-    table, _ = load_pretrained(getattr(config, source), vocab, config.embed_dim)
-    return table, False
+    cell_vocab, cell_table = pretrained
+    return restrict_table(cell_table, cell_vocab, vocab), False
 
 
 def _fit_fold(
-    rep: Representation, morbidity: str, token_lists, fold: FoldSplit, labels, config, seed
+    rep: Representation,
+    morbidity: str,
+    token_lists,
+    fold: FoldSplit,
+    labels,
+    config,
+    seed,
+    pretrained=None,
 ) -> PredictorHandle | str:
     """Fit the featurizer and train the classifier on one fold's training notes.
 
     The featurizer is fitted on the training notes, or on every note under
     fit_scope="corpus". Returns the handle that scores the held-out notes, or
-    a skip reason when the training notes hold too few tokens to set a length.
+    a skip reason when the notes it fits on hold too few tokens to set a
+    sequence length or to give TF-IDF a single column.
+    ``pretrained`` is the cell's (vocabulary, table) for a vector-file source.
     """
     train_docs = [token_lists[i] for i in fold.train_indices]
     fit_docs = token_lists if config.fit_scope == "corpus" else train_docs
@@ -366,7 +385,7 @@ def _fit_fold(
         if policy.max_len < 1:
             return f"notes too short for a sequence (max_len {policy.max_len})"
         table, trainable = _embedding(
-            rep.embedding, vocab, train_docs, config, derive_seed(seed, "embed")
+            rep.embedding, vocab, train_docs, config, derive_seed(seed, "embed"), pretrained
         )
         bconfig = BiLstmConfig(
             hidden1=config.bilstm_hidden1,
@@ -382,6 +401,8 @@ def _fit_fold(
             kind="bilstm", morbidity=morbidity, model=model, vocab=vocab, length_policy=policy
         )
     model_tf = tfidf_fit(fit_docs)
+    if not model_tf.columns:
+        return "notes have no tokens for TF-IDF features (0 columns)"
     X = tfidf_matrix(train_docs, model_tf)
     if rep.kind == "svm":
         model = svm_train(X, y_train, lam=config.svm_lambda, epochs=config.svm_epochs, seed=seed)
@@ -428,6 +449,13 @@ def run_cell(
 
     stopwords = None if rep.kind == "bilstm" else _stopwords()
     token_lists = [note_tokens(text, stopwords) for text in dataset.texts]
+    pretrained = None
+    if rep.embedding in _VECTOR_FILE_FIELDS:
+        # Parse the file once per cell: every fold's vocabulary is a subset of
+        # the cell's (no count cutoff, and each note trains in k-1 >= 1 folds).
+        cell_vocab = build_vocabulary(token_lists)
+        table, _ = load_pretrained(getattr(config, rep.embedding), cell_vocab, config.embed_dim)
+        pretrained = (cell_vocab, table)
 
     fold_seed = derive_seed(master_seed, morbidity, "folds")
     folds = stratified_kfold(labels, config.k, fold_seed)
@@ -436,7 +464,7 @@ def run_cell(
     results = []
     for fold in folds:
         seed = derive_seed(master_seed, morbidity, representation, fold.fold)
-        handle = _fit_fold(rep, morbidity, token_lists, fold, y, config, seed)
+        handle = _fit_fold(rep, morbidity, token_lists, fold, y, config, seed, pretrained)
         if isinstance(handle, str):
             return skip(handle)
         y_test = y[list(fold.test_indices)]

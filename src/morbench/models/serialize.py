@@ -21,12 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from morbench.models.lstm import BiLstmModel
+from morbench.models.lstm import init_params as lstm_init_params
 from morbench.models.mlp import MlpModel
+from morbench.models.mlp import init_params as mlp_init_params
 from morbench.models.svm import SvmModel
 
 MAGIC = b"MORBMODL"
 VERSION = 1
-
 
 def _pack(kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
     names = sorted(arrays)
@@ -63,6 +64,53 @@ def save_model(model, path: str | Path) -> None:
     Path(path).write_bytes(blob)
 
 
+def _check_header(path, header) -> None:
+    """Raise ValueError unless a decoded header has the shape load_model reads."""
+    if not (
+        isinstance(header, dict)
+        and isinstance(header.get("meta"), dict)
+        and isinstance(header.get("arrays"), list)
+    ):
+        raise ValueError(f"{path}: model header needs an object with 'kind', 'meta', 'arrays'")
+    for entry in header["arrays"]:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and isinstance(entry[0], str)
+            and isinstance(entry[1], list)
+            and all(type(d) is int and d >= 0 for d in entry[1])
+        ):
+            raise ValueError(f"{path}: bad array entry {entry!r} in model header")
+
+
+def _build_model(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]):
+    """The model a checked header describes; a missing array or meta key raises KeyError."""
+    if kind == "svm":
+        if arrays["bias"].size != 1:
+            raise ValueError(f"{path}: svm bias must hold one value")
+        return SvmModel(
+            weights=arrays["weights"], bias=float(arrays["bias"].reshape(-1)[0]), lam=meta["lam"]
+        )
+    if kind == "mlp":
+        model = MlpModel(params=arrays, hidden_size=meta["hidden_size"])
+        expected = mlp_init_params(1, 1, seed=0)
+    elif kind == "bilstm":
+        model = BiLstmModel(
+            params=arrays,
+            hidden1=meta["hidden1"],
+            hidden2=meta["hidden2"],
+            embed_trainable=meta["embed_trainable"],
+        )
+        expected = lstm_init_params(np.zeros((1, 1)), 1, 1, seed=0)
+    else:
+        raise ValueError(f"{path}: unknown model kind {kind!r}")
+    # parameter names come from the model module's own initializer
+    missing = sorted(expected.keys() - arrays.keys())
+    if missing:
+        raise KeyError(missing[0])
+    return model
+
+
 def load_model(path: str | Path):
     blob = Path(path).read_bytes()
     if blob[:8] != MAGIC:
@@ -73,6 +121,7 @@ def load_model(path: str | Path):
     if version != VERSION:
         raise ValueError(f"{path}: unsupported model format version {version}")
     header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
+    _check_header(path, header)
 
     arrays: dict[str, np.ndarray] = {}
     offset = 16 + header_len
@@ -86,17 +135,8 @@ def load_model(path: str | Path):
     if offset != len(blob):
         raise ValueError(f"{path}: trailing bytes after model payload")
 
-    kind = header["kind"]
-    meta = header["meta"]
-    if kind == "svm":
-        return SvmModel(weights=arrays["weights"], bias=float(arrays["bias"][0]), lam=meta["lam"])
-    if kind == "mlp":
-        return MlpModel(params=arrays, hidden_size=meta["hidden_size"])
-    if kind == "bilstm":
-        return BiLstmModel(
-            params=arrays,
-            hidden1=meta["hidden1"],
-            hidden2=meta["hidden2"],
-            embed_trainable=meta["embed_trainable"],
-        )
-    raise ValueError(f"{path}: unknown model kind {kind!r}")
+    kind = header.get("kind")
+    try:
+        return _build_model(path, kind, header["meta"], arrays)
+    except KeyError as exc:
+        raise ValueError(f"{path}: {kind} model header lacks {exc.args[0]}") from None

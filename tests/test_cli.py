@@ -220,6 +220,33 @@ def test_jobs_below_one_is_a_usage_error(workspace, capsys, jobs):
     assert not (workspace / "r").exists()
 
 
+def _run_with_word2vec(workspace, vector_path):
+    config = dict(CHEAP_CONFIG)
+    config["eval.representations"] = ["bilstm_pretrained_w2v"]
+    config["embeddings.word2vec_path"] = str(vector_path)
+    (workspace / "w2v.json").write_text(json.dumps(config), encoding="utf-8")
+    corpus = _synth(workspace)
+    return main(
+        ["run", str(corpus), "--config", str(workspace / "w2v.json"), "--out", str(workspace / "r")]
+    )
+
+
+def test_missing_vector_file_is_a_usage_error(workspace, capsys):
+    code = _run_with_word2vec(workspace, workspace / "absent.vec")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "absent.vec" in err and "internal error" not in err
+
+
+def test_non_utf8_vector_file_is_a_usage_error(workspace, capsys):
+    path = workspace / "latin1.vec"
+    path.write_bytes("caf\xe9 ".encode("latin-1") + b"0.5 " * 7 + b"0.5\n")
+    code = _run_with_word2vec(workspace, path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "latin1.vec" in err and "UTF-8" in err and "internal error" not in err
+
+
 def test_unexpected_exception_maps_to_exit_one(workspace, monkeypatch, capsys):
     corpus = _synth(workspace)
 

@@ -1,5 +1,7 @@
 """Skip-gram trainer, the vector-file loader, and embedding tables."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,76 @@ def test_pair_gradients_match_finite_differences():
                 np.linalg.norm(grad) + np.linalg.norm(fd), 1e-12
             )
             assert rel < 1e-5
+
+
+def _reference_skipgram(token_lists, vocab, config):
+    """The per-pair trainer: k uniform draws and a fresh dot product per negative."""
+
+    def log_sigmoid(x):
+        return -math.log1p(math.exp(-x)) if x >= 0 else x - math.log1p(math.exp(x))
+
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-x))
+
+    rng = np.random.default_rng(config.seed)
+    V, dim = len(vocab), config.dim
+    centers = np.zeros((V + 1, dim))
+    centers[1:] = (rng.random((V, dim)) - 0.5) / dim
+    contexts = np.zeros((V + 1, dim))
+    docs = [encode(tokens, vocab) for tokens in token_lists]
+    counts = np.bincount([i for doc in docs for i in doc], minlength=V + 1).astype(float)
+    pairs = [
+        (doc[i], doc[j])
+        for doc in docs
+        for i in range(len(doc))
+        for j in range(max(0, i - config.window), min(len(doc), i + config.window + 1))
+        if j != i
+    ]
+    total = len(pairs) * config.epochs
+    cumulative = negative_sampling_cumulative(counts[1:])
+    losses, t = [], 0
+    for _ in range(config.epochs):
+        epoch_loss = 0.0
+        for center, context in pairs:
+            negs = np.searchsorted(cumulative, rng.random(config.negatives)) + 1
+            lr = config.learning_rate * (1.0 - 0.9 * t / (total - 1))
+            v_c, u_o, u_neg = centers[center], contexts[context], contexts[negs]
+            epoch_loss -= log_sigmoid(float(u_o @ v_c))
+            for k in range(config.negatives):
+                epoch_loss -= log_sigmoid(-float(u_neg[k] @ v_c))
+            pos_err = sigmoid(float(u_o @ v_c)) - 1.0
+            neg_err = sigmoid(u_neg @ v_c)
+            g_v = pos_err * u_o + neg_err @ u_neg
+            g_uo = pos_err * v_c
+            g_uneg = neg_err[:, None] * v_c[None, :]
+            centers[center] = v_c - lr * g_v
+            contexts[context] = u_o - lr * g_uo
+            np.subtract.at(contexts, negs, lr * g_uneg)
+            t += 1
+        losses.append(epoch_loss / len(pairs))
+    centers[0] = 0.0
+    return centers, losses
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SkipgramConfig(dim=9, window=2, epochs=2, negatives=5, seed=3),
+        SkipgramConfig(dim=6, window=6, epochs=1, negatives=12, seed=4),
+        SkipgramConfig(dim=4, window=1, epochs=3, negatives=1, seed=5),
+    ],
+)
+def test_train_matches_per_pair_reference(config):
+    # a tiny vocabulary makes repeated negatives (and context == negative) common;
+    # the empty and one-word documents hold no pairs and draw nothing
+    docs = TOY_DOCS + [[], ["cat"], ["pet", "rock", "sand", "cat", "dog", "sand", "rock"]]
+    vocab = build_vocabulary(docs)
+    table, losses = train_skipgram(docs, vocab, config)
+    want_rows, want_losses = _reference_skipgram(docs, vocab, config)
+    assert np.array_equal(table.rows, want_rows)
+    assert len(losses) == len(want_losses)
+    for got, want in zip(losses, want_losses):
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_train_deterministic():
@@ -181,3 +253,61 @@ def test_load_rejects_non_finite(tmp_path):
     vocab = build_vocabulary([["word"]])
     with pytest.raises(VectorFileError):
         load_pretrained(path, vocab, dim=2)
+
+
+def test_load_spacing_and_line_ending_edges(tmp_path):
+    # words split on single spaces only: runs of spaces collapse, a lone "\r"
+    # stays on the last value, and tabs belong to the word
+    lines = [
+        "two 5.0",  # line 1 with two fields that is not a header: a vector at dim 1
+        "a  1.0",  # double space
+        " b 2.0",  # leading space
+        "c 3.0 ",  # trailing space
+        "d 4.0\r",  # CRLF line ending
+        "t\tab 6.0",  # a tab inside the word
+        "zz 7.0",  # out of vocabulary
+        "",  # blank line
+        "a\tb 8.0",  # out of vocabulary, with a tab
+    ]
+    path = tmp_path / "vec.txt"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    vocab = build_vocabulary([["two", "a", "b", "c", "d", "t\tab", "missing"]])
+    table, oov = load_pretrained(path, vocab, dim=1)
+    got = {w: table.rows[vocab[w]][0] for w in vocab.words}
+    assert got == {
+        "two": 5.0, "a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0, "t\tab": 6.0, "missing": 0.0
+    }
+    assert oov == 1
+
+
+def test_load_header_is_skipped_only_on_line_one(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_text("3 1\nw 2.0\n", encoding="utf-8")
+    table, oov = load_pretrained(path, build_vocabulary([["w", "3"]]), dim=1)
+    assert oov == 1  # "3 1" is the header, not the vector of "3"
+    path.write_text("w 2.0\n3 1\n", encoding="utf-8")
+    vocab = build_vocabulary([["w", "3"]])
+    table, oov = load_pretrained(path, vocab, dim=1)
+    assert oov == 0 and table.rows[vocab["3"]][0] == 1.0
+
+
+def test_load_wrong_count_out_of_vocabulary_line_names_line(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_text("ok 1.0 2.0\nunseen 1.0 2.0\nunknown 1.0 2.0 3.0\n", encoding="utf-8")
+    vocab = build_vocabulary([["ok"]])
+    with pytest.raises(VectorFileError, match="line 3: expected 2 values, found 3"):
+        load_pretrained(path, vocab, dim=2)
+
+
+def test_load_missing_file_names_path(tmp_path):
+    path = tmp_path / "absent.txt"
+    with pytest.raises(VectorFileError, match="absent.txt"):
+        load_pretrained(path, build_vocabulary([["word"]]), dim=2)
+
+
+def test_load_non_utf8_file_names_path(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("caf\xe9 1.0 2.0\n".encode("latin-1"))
+    with pytest.raises(VectorFileError, match="latin1.txt.*UTF-8"):
+        load_pretrained(path, build_vocabulary([["word"]]), dim=2)
+

@@ -361,12 +361,58 @@ def test_run_cell_skips_unconfigured_vector_files():
 
 def test_run_cell_skips_notes_without_tokens():
     dataset = _dataset("Gout", ["!!! ... ???"] * 20, [1, 0] * 10)
-    config = _cheap_config(representations=("bilstm_random",))
+    config = _cheap_config(representations=("bilstm_random", "tfidf_svm", "tfidf_mlp"))
     report = run_experiment({"Gout": dataset}, config, master_seed=0)
-    (cell,) = report.cells
-    assert cell.skipped is not None and "max_len 0" in cell.skipped
-    (line,) = raw_rows(report)
-    assert json.loads(line)["skipped"] == cell.skipped
+    bilstm, svm, mlp = report.cells
+    assert bilstm.skipped is not None and "max_len 0" in bilstm.skipped
+    for cell in (svm, mlp):
+        assert cell.skipped is not None and "0 columns" in cell.skipped
+    lines = raw_rows(report)
+    assert [json.loads(line)["skipped"] for line in lines] == [c.skipped for c in report.cells]
+
+
+@pytest.mark.parametrize("fit_scope", ["fold", "corpus"])
+def test_run_cell_parses_each_vector_file_once(tmp_path, monkeypatch, fit_scope):
+    import morbench.eval as eval_module
+    from morbench.embeddings import load_pretrained
+
+    dataset = _marker_dataset(positives=6, negatives=6)
+    token_lists = _token_lists(dataset)
+    dim = 3
+    rng = np.random.default_rng(0)
+    # vectors for half the corpus words plus words the corpus never uses
+    words = sorted({t for tokens in token_lists for t in tokens})[::2] + ["unused", "other"]
+    path = tmp_path / "vec.txt"
+    lines = [" ".join([w, *map(repr, rng.normal(size=dim).tolist())]) + "\n" for w in words]
+    path.write_text("".join(lines), encoding="utf-8")
+    config = _cheap_config(
+        representations=("bilstm_pretrained_w2v",),
+        word2vec_path=str(path),
+        embed_dim=dim,
+        bilstm_epochs=1,
+        fit_scope=fit_scope,
+    )
+    calls, tables = [], []
+    restrict = eval_module.restrict_table
+
+    def counting_load(*args, **kwargs):
+        calls.append(args)
+        return load_pretrained(*args, **kwargs)
+
+    def recording_restrict(table, table_vocab, vocab):
+        out = restrict(table, table_vocab, vocab)
+        tables.append((vocab, out))
+        return out
+
+    monkeypatch.setattr(eval_module, "load_pretrained", counting_load)
+    monkeypatch.setattr(eval_module, "restrict_table", recording_restrict)
+    cell = run_cell(dataset, "bilstm_pretrained_w2v", config, master_seed=1)
+    assert cell.skipped is None and len(cell.folds) == config.k
+    assert len(calls) == 1
+    assert len(tables) == config.k
+    for vocab, table in tables:
+        direct, _ = load_pretrained(path, vocab, dim)
+        assert np.array_equal(table.rows, direct.rows)
 
 
 def test_run_cell_is_deterministic():

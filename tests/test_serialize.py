@@ -137,3 +137,42 @@ def test_loaded_bilstm_predicts_identically(tmp_path):
     loaded = load_model(path)
     batch = np.array([[1, 2, 3], [4, 0, 0]])
     np.testing.assert_array_equal(bilstm_forward(batch, model), bilstm_forward(batch, loaded))
+
+
+def _write_header(path, header):
+    import json
+
+    blob = json.dumps(header).encode()
+    path.write_bytes(MAGIC + struct.pack("<II", 1, len(blob)) + blob)
+
+
+def test_load_rejects_header_without_arrays(tmp_path):
+    path = tmp_path / "m.bin"
+    _write_header(path, {"kind": "svm"})
+    with pytest.raises(ValueError, match="'kind', 'meta', 'arrays'"):
+        load_model(path)
+
+
+def test_load_rejects_header_that_is_not_an_object(tmp_path):
+    path = tmp_path / "m.bin"
+    _write_header(path, [])
+    with pytest.raises(ValueError, match="'kind', 'meta', 'arrays'"):
+        load_model(path)
+
+
+def test_load_rejects_svm_header_without_bias(tmp_path):
+    path = tmp_path / "m.bin"
+    _write_header(path, {"kind": "svm", "meta": {"lam": 0.01}, "arrays": [["weights", [2]]]})
+    path.write_bytes(path.read_bytes() + np.zeros(2).tobytes())
+    with pytest.raises(ValueError, match="svm model header lacks bias"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("make,dropped", [(_mlp_model, "W2"), (_bilstm_model, "l2b.U")])
+def test_load_rejects_model_without_a_parameter(tmp_path, make, dropped):
+    model = make()
+    del model.params[dropped]
+    path = tmp_path / "m.bin"
+    save_model(model, path)
+    with pytest.raises(ValueError, match=f"model header lacks {dropped}"):
+        load_model(path)
