@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from morbench import __version__
 from morbench.corpus import (
@@ -97,6 +100,21 @@ def _load_config(path: str | None) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return config_from_dict(raw)
+
+
+def _environment() -> dict:
+    """What the run's speed depends on: cores, numpy and BLAS, thread settings, pool start."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "nproc": os.cpu_count(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
+        "thread_env": {
+            name: os.environ.get(name)
+            for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+        "start_method": multiprocessing.get_start_method(),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +240,7 @@ def cmd_run(args) -> int:
         "corpus": list(args.corpus),
         "notes": len(notes),
         "config": config_to_dict(config),
+        "environment": _environment(),
         "cells": [
             {
                 "morbidity": c.morbidity,

@@ -208,6 +208,10 @@ class ExperimentConfig:
                 )
         if self.k < 2:
             raise ConfigError(f"eval.k must be at least 2, got {self.k}")
+        for key in _COUNT_KEYS:
+            value = getattr(self, _CONFIG_KEYS[key][0])
+            if not isinstance(value, int) or value < 1:
+                raise ConfigError(f"{key} must be an integer of at least 1, got {value!r}")
 
     def rmsprop(self) -> RmspropConfig:
         return RmspropConfig(rho=self.rms_rho, learning_rate=self.rms_lr, eps=self.rms_eps)
@@ -240,6 +244,22 @@ _CONFIG_KEYS: dict[str, tuple[str, type]] = {
     "rmsprop.learning_rate": ("rms_lr", float),
     "rmsprop.eps": ("rms_eps", float),
 }
+
+# sizes, epochs, batches and windows: each must be at least 1
+_COUNT_KEYS = (
+    "svm.epochs",
+    "mlp.hidden_size",
+    "mlp.epochs",
+    "mlp.batch_size",
+    "bilstm.hidden1",
+    "bilstm.hidden2",
+    "bilstm.epochs",
+    "bilstm.batch_size",
+    "embeddings.dim",
+    "skipgram.window",
+    "skipgram.epochs",
+    "skipgram.negatives",
+)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

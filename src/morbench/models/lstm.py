@@ -11,6 +11,32 @@ Gate layout inside each 4H-wide parameter block is i, f, o, g:
     f = sigmoid(W_f x + U_f h + b_f)      h_t = o * tanh(c_t)
     o = sigmoid(W_o x + U_o h + b_o)
     g = tanh   (W_g x + U_g h + b_g)
+
+One recurrence runs both directions of a layer at once. Its per-step
+arrays are time-major, (T, 2, B, .): axis 1 is the direction, and the
+backward direction is fed time-reversed, so its step t reads position
+T-1-t. A layer's input is held once, in position order (T, B, D), and step
+t's (2, B, D) operand is a view of its rows t and T-1-t. The two
+directions' parameters are stacked the same way, (2, D, 4H), so a step is
+one batched matmul per operand. Training and bilstm_forward run the same
+forward pass.
+
+The per-step caches (gates, cell states and states) and the backward
+pass's gradient buffers live in a workspace, a dict of (T, 2, B, .) arrays
+made by make_workspace. bilstm_train makes one per training run, sized for
+its largest batch; a shorter batch uses the [:, :, :B] views, and the
+workspace is dropped when bilstm_train returns. A bilstm_gradients or
+bilstm_forward call without one makes its own. The module keeps no array
+state.
+
+The result is bit-identical to running each direction on its own: a
+batched matmul makes the same BLAS call per direction as a separate one
+(a view supplies the same rows as a copy), every other operation is
+elementwise or a per-direction reduction over the batch, and the operands
+of every sum keep the order of the per-direction loop. The backward pass
+leaves out only additions of zero (layer 2's state gradient arrives at the
+last step alone) and layer 1's input gradient when the embeddings are
+frozen.
 """
 
 from __future__ import annotations
@@ -23,69 +49,120 @@ from morbench.embeddings import EmbeddingTable
 from morbench.models.rmsprop import Params, RmspropConfig, RmspropState, rmsprop_step
 from morbench.preprocess import EncodedDoc
 
+Workspace = dict[str, np.ndarray]
+_CACHE = ("ifo", "g", "c", "tanh_c", "h")  # per layer; c and h carry the zero initial state at row 0
+
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _sequence_forward(X: np.ndarray, W, U, b):
-    """Run one direction over (B, T, D); returns (H_out (B,T,H), cache)."""
-    B, T, _ = X.shape
-    H = U.shape[0]
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    outputs = np.zeros((B, T, H))
-    steps = []
-    for t in range(T):
-        x_t = X[:, t, :]
-        pre = x_t @ W + h @ U + b
-        i = _sigmoid(pre[:, 0 * H : 1 * H])
-        f = _sigmoid(pre[:, 1 * H : 2 * H])
-        o = _sigmoid(pre[:, 2 * H : 3 * H])
-        g = np.tanh(pre[:, 3 * H : 4 * H])
-        c_new = f * c + i * g
-        tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
-        steps.append((x_t, h, c, i, f, o, g, tanh_c))
-        h, c = h_new, c_new
-        outputs[:, t, :] = h
-    return outputs, (steps, W, U)
+def make_workspace(params: Params, T: int, B: int, train_embeddings: bool = False) -> Workspace:
+    """Per-step buffers for batches of up to B sequences of length T."""
+    D = params["embedding"].shape[1]
+    H1 = params["l1f.U"].shape[0]
+    H2 = params["l2f.U"].shape[0]
+    shapes = {"dx2": (T, 2 * H1), "dh1": (T, H1)}
+    for layer, H in (("l1", H1), ("l2", H2)):
+        for name, shape in zip(_CACHE, ((T, 3 * H), (T, H), (T + 1, H), (T, H), (T + 1, H))):
+            shapes[f"{layer}.{name}"] = shape
+    if train_embeddings:
+        shapes["dx1"] = (T, D)
+    return {name: np.empty((rows, 2, B, width)) for name, (rows, width) in shapes.items()}
 
 
-def _sequence_backward(dH: np.ndarray, cache):
-    """BPTT through one direction; dH holds gradients on every emitted state."""
-    steps, W, U = cache
-    B, T, H = dH.shape
+def _batch_views(ws: Workspace, T: int, B: int, train_embeddings: bool) -> Workspace:
+    rows, _, capacity, _ = ws["dh1"].shape
+    if rows != T or capacity < B:
+        raise ValueError(f"workspace for T={rows}, B<={capacity} cannot hold T={T}, B={B}")
+    if train_embeddings and "dx1" not in ws:
+        raise ValueError("workspace was made without the embedding gradient buffer")
+    return {name: a[:, :, :B] for name, a in ws.items()}
+
+
+def _layer_cache(ws: Workspace, layer: str) -> list[np.ndarray]:
+    return [ws[f"{layer}.{name}"] for name in _CACHE]
+
+
+def _stacked(params: Params, layer: str):
+    """A layer's (W, U, b), forward direction first: (2, D, 4H), (2, H, 4H), (2, 1, 4H)."""
+    W, U, b = (np.stack([params[f"{layer}f.{p}"], params[f"{layer}b.{p}"]]) for p in "WUb")
+    return W, U, b[:, None, :]
+
+
+def _step_inputs(X: np.ndarray) -> list[np.ndarray]:
+    """Per step t, rows t and T-1-t of X (T, B, D) as one (2, B, D) view.
+
+    X holds a layer's input in position order; the view is step t's input
+    in the forward and in the backward direction.
+    """
+    X = np.ascontiguousarray(X)
+    T, row = X.shape[0], X.strides[0]
+    shape, strides = (2, *X.shape[1:]), X.strides[1:]
+    return [
+        np.ndarray(shape, X.dtype, X, t * row, ((T - 1 - 2 * t) * row, *strides)) for t in range(T)
+    ]
+
+
+def _layer_forward(steps: list[np.ndarray], W, U, b, cache) -> None:
+    """Run both directions over the step inputs of _step_inputs, filling the cache."""
+    ifo, g, c, tanh_c, h = cache
+    H = U.shape[1]
+    h[0] = 0.0
+    c[0] = 0.0
+    for t, x in enumerate(steps):
+        pre = np.matmul(x, W)
+        pre += np.matmul(h[t], U)
+        pre += b
+        gates = ifo[t]
+        np.divide(1.0, 1.0 + np.exp(-pre[..., : 3 * H]), out=gates)  # one sigmoid for i, f, o
+        np.tanh(pre[..., 3 * H :], out=g[t])
+        np.multiply(gates[..., H : 2 * H], c[t], out=c[t + 1])
+        c[t + 1] += gates[..., :H] * g[t]
+        np.tanh(c[t + 1], out=tanh_c[t])
+        np.multiply(gates[..., 2 * H :], tanh_c[t], out=h[t + 1])
+
+
+def _layer_backward(steps: list[np.ndarray], W, U, cache, dH: np.ndarray, dX: np.ndarray | None):
+    """BPTT through both directions; returns the stacked (dW, dU, db).
+
+    dH is (T, 2, B, H), the gradient on every emitted state, or (2, B, H),
+    the gradient on the last state only. dX (T, 2, B, D), when given,
+    receives each direction's gradient on its step's input.
+    """
+    ifo, g, c, tanh_c, h = cache
+    H = U.shape[1]
     dW = np.zeros_like(W)
     dU = np.zeros_like(U)
-    db = np.zeros(4 * H)
-    dX = np.zeros((B, T, W.shape[0]))
-    dh_next = np.zeros((B, H))
-    dc_next = np.zeros((B, H))
-    for t in range(T - 1, -1, -1):
-        x_t, h_prev, c_prev, i, f, o, g, tanh_c = steps[t]
-        dh = dH[:, t, :] + dh_next
-        do = dh * tanh_c
-        dc = dc_next + dh * o * (1.0 - tanh_c**2)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
-        dc_next = dc * f
-        dpre = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                do * o * (1.0 - o),
-                dg * (1.0 - g**2),
-            ],
-            axis=1,
-        )
-        dW += x_t.T @ dpre
-        dU += h_prev.T @ dpre
-        db += dpre.sum(axis=0)
-        dX[:, t, :] = dpre @ W.T
-        dh_next = dpre @ U.T
-    return dX, dW, dU, db
+    db = np.zeros((2, 4 * H))
+    WT = W.swapaxes(1, 2)
+    UT = U.swapaxes(1, 2)
+    last_only = dH.ndim == 3
+    dh_next = dc_next = None
+    for t in range(len(steps) - 1, -1, -1):
+        if dh_next is None:
+            dh = dH if last_only else dH[t]
+        else:
+            dh = dh_next if last_only else dH[t] + dh_next
+        gates = ifo[t]
+        tc = tanh_c[t]
+        dc = dh * gates[..., 2 * H :] * (1.0 - tc**2)
+        if dc_next is not None:
+            dc += dc_next
+        # gradients on the gate activations: di, df, do, then through the sigmoid
+        dpre = np.concatenate([dc * g[t], dc * c[t], dh * tc], axis=-1)
+        dpre *= gates
+        dpre *= 1.0 - gates
+        dpre = np.concatenate([dpre, dc * gates[..., :H] * (1.0 - g[t] ** 2)], axis=-1)
+        dW += np.matmul(steps[t].swapaxes(1, 2), dpre)
+        dU += np.matmul(h[t].swapaxes(1, 2), dpre)
+        db += dpre.sum(axis=1)
+        if dX is not None:
+            np.matmul(dpre, WT, out=dX[t])
+        if t:
+            dh_next = np.matmul(dpre, UT)
+            dc_next = dc * gates[..., H : 2 * H]
+    return dW, dU, db
 
 
 @dataclass(frozen=True)
@@ -135,31 +212,30 @@ def init_params(embedding: np.ndarray, hidden1: int, hidden2: int, seed: int) ->
     return params
 
 
-def _forward_full(params: Params, batch_idx: np.ndarray):
-    """Logits plus every intermediate needed for the backward pass."""
-    emb = params["embedding"][batch_idx]  # (B, T, D)
+def _forward(params: Params, batch_idx: np.ndarray, ws: Workspace):
+    """Logits, the dense layer's input and each layer's step inputs; fills the workspace."""
+    T = batch_idx.shape[1]
+    steps1 = _step_inputs(params["embedding"][batch_idx.T])  # embedded batch, (T, B, D)
+    _layer_forward(steps1, *_stacked(params, "l1"), _layer_cache(ws, "l1"))
 
-    h1f, cache1f = _sequence_forward(emb, params["l1f.W"], params["l1f.U"], params["l1f.b"])
-    h1b_rev, cache1b = _sequence_forward(
-        emb[:, ::-1, :], params["l1b.W"], params["l1b.U"], params["l1b.b"]
-    )
-    seq1 = np.concatenate([h1f, h1b_rev[:, ::-1, :]], axis=2)  # (B, T, 2H1)
+    # layer 2 reads position t's forward state ++ backward state; the backward
+    # direction's state at position t is its step T-1-t, row T-t of its h
+    h1 = ws["l1.h"]
+    steps2 = _step_inputs(np.concatenate([h1[1:, 0], h1[T:0:-1, 1]], axis=2))
+    _layer_forward(steps2, *_stacked(params, "l2"), _layer_cache(ws, "l2"))
 
-    h2f, cache2f = _sequence_forward(seq1, params["l2f.W"], params["l2f.U"], params["l2f.b"])
-    h2b_rev, cache2b = _sequence_forward(
-        seq1[:, ::-1, :], params["l2b.W"], params["l2b.U"], params["l2b.b"]
-    )
     # forward direction's last state ++ backward direction's state at position 0
-    summary = np.concatenate([h2f[:, -1, :], h2b_rev[:, -1, :]], axis=1)  # (B, 2H2)
-
+    last = ws["l2.h"][T]
+    summary = np.concatenate([last[0], last[1]], axis=1)  # (B, 2H2)
     z = (summary @ params["dense.W"] + params["dense.b"]).ravel()
-    return z, (emb, cache1f, cache1b, cache2f, cache2b, summary)
+    return z, summary, (steps1, steps2)
 
 
 def bilstm_forward(encoded_batch, model: BiLstmModel) -> np.ndarray:
     """Probabilities in (0,1), one per document."""
     batch_idx = _as_index_batch(encoded_batch)
-    z, _ = _forward_full(model.params, batch_idx)
+    B, T = batch_idx.shape
+    z, _, _ = _forward(model.params, batch_idx, make_workspace(model.params, T, B))
     return _sigmoid(z)
 
 
@@ -175,19 +251,37 @@ def _as_index_batch(encoded_batch) -> np.ndarray:
     return np.array(rows, dtype=np.intp)
 
 
-def bilstm_loss(params: Params, batch_idx: np.ndarray, y: np.ndarray) -> float:
-    z, _ = _forward_full(params, batch_idx)
+def _mean_bce(z: np.ndarray, y: np.ndarray) -> float:
     softplus = np.where(z > 0, z + np.log1p(np.exp(-z)), np.log1p(np.exp(z)))
     return float(np.mean(softplus - y * z))
 
 
-def bilstm_gradients(
-    params: Params, batch_idx: np.ndarray, y: np.ndarray, train_embeddings: bool
-) -> tuple[float, Params]:
-    """Mean BCE loss and gradients for every trainable parameter."""
-    z, (emb, cache1f, cache1b, cache2f, cache2b, summary) = _forward_full(params, batch_idx)
-    prob = _sigmoid(z)
+def bilstm_loss(params: Params, batch_idx: np.ndarray, y: np.ndarray) -> float:
     B, T = batch_idx.shape
+    z, _, _ = _forward(params, batch_idx, make_workspace(params, T, B))
+    return _mean_bce(z, y)
+
+
+def bilstm_gradients(
+    params: Params,
+    batch_idx: np.ndarray,
+    y: np.ndarray,
+    train_embeddings: bool,
+    *,
+    workspace: Workspace | None = None,
+) -> tuple[float, Params]:
+    """Mean BCE loss and gradients for every trainable parameter.
+
+    workspace, from make_workspace, holds the per-step caches; without one
+    the call makes its own.
+    """
+    B, T = batch_idx.shape
+    if workspace is None:
+        workspace = make_workspace(params, T, B, train_embeddings)
+    ws = _batch_views(workspace, T, B, train_embeddings)
+    z, summary, (steps1, steps2) = _forward(params, batch_idx, ws)
+    prob = _sigmoid(z)
+    H1 = params["l1f.U"].shape[0]
     H2 = params["l2f.U"].shape[0]
 
     dz = (prob - y) / B  # (B,)
@@ -198,34 +292,33 @@ def bilstm_gradients(
     dsummary = dz[:, None] @ params["dense.W"].T  # (B, 2H2)
 
     # layer 2: gradient arrives only at each direction's final step
-    dh2f = np.zeros((B, T, H2))
-    dh2f[:, -1, :] = dsummary[:, :H2]
-    dseq1_f, grads["l2f.W"], grads["l2f.U"], grads["l2f.b"] = _sequence_backward(dh2f, cache2f)
+    W2, U2, _ = _stacked(params, "l2")
+    dlast = np.stack([dsummary[:, :H2], dsummary[:, H2:]])
+    dx2 = ws["dx2"]
+    layer2 = _layer_backward(steps2, W2, U2, _layer_cache(ws, "l2"), dlast, dx2)
 
-    dh2b = np.zeros((B, T, H2))
-    dh2b[:, -1, :] = dsummary[:, H2:]
-    dseq1_b_rev, grads["l2b.W"], grads["l2b.U"], grads["l2b.b"] = _sequence_backward(dh2b, cache2b)
+    # layer 1: each direction's state gradient, gathered from both of layer 2's input gradients
+    dh1 = ws["dh1"]
+    np.add(dx2[:, 0, :, :H1], dx2[::-1, 1, :, :H1], out=dh1[:, 0])
+    np.add(dx2[::-1, 0, :, H1:], dx2[:, 1, :, H1:], out=dh1[:, 1])
+    dx1 = ws["dx1"] if train_embeddings else None
+    W1, U1, _ = _stacked(params, "l1")
+    layer1 = _layer_backward(steps1, W1, U1, _layer_cache(ws, "l1"), dh1, dx1)
 
-    dseq1 = dseq1_f + dseq1_b_rev[:, ::-1, :]  # (B, T, 2H1)
-
-    # layer 1: split the concatenated state gradient back per direction
-    H1 = params["l1f.U"].shape[0]
-    demb_f, grads["l1f.W"], grads["l1f.U"], grads["l1f.b"] = _sequence_backward(
-        dseq1[:, :, :H1], cache1f
-    )
-    demb_b_rev, grads["l1b.W"], grads["l1b.U"], grads["l1b.b"] = _sequence_backward(
-        dseq1[:, ::-1, H1:], cache1b
-    )
-    demb = demb_f + demb_b_rev[:, ::-1, :]
+    for layer, (dW, dU, db) in (("l2", layer2), ("l1", layer1)):
+        for d, direction in enumerate("fb"):
+            grads[f"{layer}{direction}.W"] = dW[d]
+            grads[f"{layer}{direction}.U"] = dU[d]
+            grads[f"{layer}{direction}.b"] = db[d]
 
     if train_embeddings:
+        demb = dx1[:, 0] + dx1[::-1, 1]  # (T, B, D)
         demb_table = np.zeros_like(params["embedding"])
-        np.add.at(demb_table, batch_idx, demb)
+        np.add.at(demb_table, batch_idx, demb.transpose(1, 0, 2))
         demb_table[0] = 0.0  # padding row stays zero
         grads["embedding"] = demb_table
 
-    softplus = np.where(z > 0, z + np.log1p(np.exp(-z)), np.log1p(np.exp(z)))
-    return float(np.mean(softplus - y * z)), grads
+    return _mean_bce(z, y), grads
 
 
 def bilstm_train(
@@ -249,12 +342,15 @@ def bilstm_train(
     state = RmspropState.fresh(trainable, config.rmsprop)
 
     rng = np.random.default_rng(seed + 1)
-    n = batch_idx.shape[0]
+    n, T = batch_idx.shape
+    workspace = make_workspace(params, T, min(n, config.batch_size), config.train_embeddings)
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            _, grads = bilstm_gradients(params, batch_idx[batch], y[batch], config.train_embeddings)
+            _, grads = bilstm_gradients(
+                params, batch_idx[batch], y[batch], config.train_embeddings, workspace=workspace
+            )
             rmsprop_step(params, grads, state)
     return BiLstmModel(
         params=params,

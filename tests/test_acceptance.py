@@ -36,13 +36,16 @@ from morbench.eval import (
 )
 from morbench.models.lstm import (
     BiLstmConfig,
-    _sequence_backward,
-    _sequence_forward,
+    _layer_backward,
+    _layer_cache,
+    _layer_forward,
+    _step_inputs,
     bilstm_forward,
     bilstm_gradients,
     bilstm_loss,
     bilstm_train,
     init_params,
+    make_workspace,
 )
 from morbench.models.mlp import init_params as mlp_init
 from morbench.models.mlp import mlp_gradients, mlp_loss, mlp_predict, mlp_train
@@ -129,7 +132,7 @@ def test_criterion_2_tfidf_oracle_equivalence():
 
 
 def test_criterion_3_gradient_suite():
-    """SGNS, MLP, LSTM-cell BPTT, and full-model gradients vs finite differences."""
+    """SGNS, MLP, stacked LSTM-layer BPTT, and full-model gradients vs finite differences."""
     started = time.perf_counter()
     rng = np.random.default_rng(777)
 
@@ -159,25 +162,30 @@ def test_criterion_3_gradient_suite():
             numeric = _central_diff(lambda: mlp_loss(params, X, y), params[name])
             assert _rel_error(analytic[name], numeric) < 1e-5, ("mlp", trial, name)
 
-    # LSTM cell unrolled 3 steps (one-direction BPTT): 20 fixtures
+    # LSTM layer unrolled 3 steps (BPTT through both stacked directions): 20 fixtures
     for _ in range(20):
         B = int(rng.integers(1, 4))
         D = int(rng.integers(2, 5))
         H = int(rng.integers(2, 5))
-        X = rng.standard_normal((B, 3, D))
-        W = rng.standard_normal((D, 4 * H)) * 0.4
-        U = rng.standard_normal((H, 4 * H)) * 0.4
-        b = rng.standard_normal(4 * H) * 0.2
-        G = rng.standard_normal((B, 3, H))
+        X = rng.standard_normal((3, B, D))  # time-major; the backward direction reads it from the end
+        W = rng.standard_normal((2, D, 4 * H)) * 0.4
+        U = rng.standard_normal((2, H, 4 * H)) * 0.4
+        b = rng.standard_normal((2, 1, 4 * H)) * 0.2
+        G = rng.standard_normal((3, 2, B, H))
+        workspace = make_workspace(init_params(np.zeros((1, D)), H, H, seed=0), 3, B)
+        cache = _layer_cache(workspace, "l1")
 
         def objective():
-            out, _ = _sequence_forward(X, W, U, b)
-            return float(np.sum(out * G))
+            _layer_forward(_step_inputs(X), W, U, b, cache)
+            return float(np.sum(cache[-1][1:] * G))
 
-        _, cache = _sequence_forward(X, W, U, b)
-        dX, dW, dU, db = _sequence_backward(G, cache)
+        objective()
+        dX_steps = np.empty((3, 2, B, D))
+        dW, dU, db = _layer_backward(_step_inputs(X), W, U, cache, G, dX_steps)
+        dX = dX_steps[:, 0] + dX_steps[::-1, 1]  # each position's two gradients
         for analytic, array in ((dX, X), (dW, W), (dU, U), (db, b)):
-            assert _rel_error(analytic, _central_diff(objective, array)) < 1e-5
+            numeric = _central_diff(objective, array)
+            assert _rel_error(analytic, numeric.reshape(np.shape(analytic))) < 1e-5
 
     # full model through the dense head, embeddings included: 20 fixtures
     for trial in range(20):

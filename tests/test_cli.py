@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from morbench import __version__
@@ -121,6 +122,27 @@ def test_run_pipeline_and_outputs(workspace, capsys):
     assert "| morbidity" in stdout  # table echoed to the terminal
 
 
+def test_manifest_records_the_environment(workspace, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    corpus = _synth(workspace)
+    out = workspace / "results"
+    args = ["run", str(corpus), "--config", str(workspace / "config.json"), "--out", str(out)]
+    assert main(args) == 0
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert set(env) == {"nproc", "numpy", "blas", "thread_env", "start_method"}
+    assert env["nproc"] >= 1
+    assert env["numpy"] == np.__version__
+    assert isinstance(env["blas"], str) and env["blas"]
+    assert env["thread_env"] == {
+        "OMP_NUM_THREADS": None,
+        "OPENBLAS_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": None,
+    }
+    assert env["start_method"] in ("fork", "spawn", "forkserver")
+
+
 def test_run_twice_is_byte_identical(workspace):
     corpus = _synth(workspace)
     args = ["run", str(corpus), "--config", str(workspace / "config.json"), "--seed", "3"]
@@ -194,6 +216,26 @@ def test_bad_config_key_is_a_usage_error(workspace, capsys):
     code = main(["run", str(corpus), "--config", str(workspace / "bad.json")])
     assert code == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("skipgram.window", 0),
+        ("bilstm.hidden1", 0),
+        ("embeddings.dim", 0),
+        ("mlp.hidden_size", 0),
+        ("svm.epochs", -1),
+    ],
+)
+def test_out_of_range_model_size_is_a_usage_error(workspace, capsys, key, value):
+    (workspace / "sizes.json").write_text(json.dumps({key: value}), encoding="utf-8")
+    corpus = _synth(workspace)
+    out = workspace / "o"
+    code = main(["run", str(corpus), "--config", str(workspace / "sizes.json"), "--out", str(out)])
+    assert code == 2
+    assert f"{key} must be an integer of at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_spec_json_is_a_usage_error(workspace, capsys):

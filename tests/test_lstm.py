@@ -1,20 +1,27 @@
 """Unit tests for the stacked bidirectional LSTM classifier."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from morbench.embeddings import EmbeddingTable, random_table
+from morbench.models import lstm
 from morbench.models.lstm import (
     BiLstmConfig,
     BiLstmModel,
-    _forward_full,
-    _sequence_backward,
-    _sequence_forward,
+    _forward,
+    _layer_backward,
+    _layer_cache,
+    _layer_forward,
+    _step_inputs,
     bilstm_forward,
     bilstm_gradients,
     bilstm_loss,
     bilstm_train,
     init_params,
+    make_workspace,
 )
 from morbench.preprocess import EncodedDoc
 
@@ -40,12 +47,34 @@ def _rel_error(a, b):
 
 
 # ---------------------------------------------------------------------------
-# single cell: the recurrence of _sequence_forward, one step at a time
+# one stacked layer: both directions of the recurrence at once
+
+
+def _stack(forward, backward):
+    W = np.stack([forward["W"], backward["W"]])
+    U = np.stack([forward["U"], backward["U"]])
+    b = np.stack([forward["b"], backward["b"]])[:, None, :]
+    return W, U, b
+
+
+def _time_major(X):
+    """(B, T, D) -> (T, B, D); the backward direction reads it from the end."""
+    return np.ascontiguousarray(np.asarray(X, dtype=float).transpose(1, 0, 2))
+
+
+def _layer_states(Xtm, W, U, b):
+    """Run _layer_forward in a fresh cache; returns (states (T, 2, B, H), cache)."""
+    T, B, D = Xtm.shape
+    H = U.shape[1]
+    cache = _layer_cache(make_workspace(init_params(np.zeros((1, D)), H, H, seed=0), T, B), "l1")
+    _layer_forward(_step_inputs(Xtm), W, U, b, cache)
+    return cache[-1][1:], cache
 
 
 def _run(X, params):
-    out, _ = _sequence_forward(np.asarray(X, dtype=float), params["W"], params["U"], params["b"])
-    return out
+    """The forward direction's states, (B, T, H)."""
+    states, _ = _layer_states(_time_major(X), *_stack(params, params))
+    return states[:, 0].transpose(1, 0, 2)
 
 
 def test_cell_zero_parameters_give_zero_state():
@@ -78,38 +107,46 @@ def test_cell_accepts_batched_and_single_inputs():
         np.testing.assert_allclose(batch[row], _run(X[row : row + 1], params)[0], rtol=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# one-direction sequence backward pass
-
-
-def test_sequence_backward_matches_finite_differences():
+def _check_layer_backward(last_only):
     rng = np.random.default_rng(7)
     B, T, D, H = 2, 3, 3, 4
-    X = rng.standard_normal((B, T, D))
-    params = _cell_params(D, H, rng)
-    G = rng.standard_normal((B, T, H))  # fixed upstream gradient
+    Xtm = _time_major(rng.standard_normal((B, T, D)))
+    W, U, b = _stack(_cell_params(D, H, rng), _cell_params(D, H, rng))
+    # fixed upstream gradient: on every state, or on each direction's last state only
+    G = rng.standard_normal((2, B, H) if last_only else (T, 2, B, H))
 
-    def objective(X_, W_, U_, b_):
-        out, _ = _sequence_forward(X_, W_, U_, b_)
-        return float(np.sum(out * G))
+    def objective():
+        states, _ = _layer_states(Xtm, W, U, b)
+        return float(np.sum((states[-1] if last_only else states) * G))
 
-    out, cache = _sequence_forward(X, params["W"], params["U"], params["b"])
-    dX, dW, dU, db = _sequence_backward(G, cache)
+    _, cache = _layer_states(Xtm, W, U, b)
+    dX_steps = np.empty((T, 2, B, D))
+    dW, dU, db = _layer_backward(_step_inputs(Xtm), W, U, cache, G, dX_steps)
+    dX = dX_steps[:, 0] + dX_steps[::-1, 1]  # each position's two gradients
 
     step = 1e-5
-    for analytic, array in ((dX, X), (dW, params["W"]), (dU, params["U"]), (db, params["b"])):
+    for analytic, array in ((dX, Xtm), (dW, W), (dU, U), (db, b)):
         numeric = np.zeros_like(array)
-        flat = array.ravel()
-        nflat = numeric.ravel()
+        flat = array.reshape(-1)
+        nflat = numeric.reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + step
-            up = objective(X, params["W"], params["U"], params["b"])
+            up = objective()
             flat[idx] = orig - step
-            down = objective(X, params["W"], params["U"], params["b"])
+            down = objective()
             flat[idx] = orig
             nflat[idx] = (up - down) / (2 * step)
-        assert _rel_error(analytic, numeric) < 1e-5
+        assert _rel_error(analytic, numeric.reshape(np.shape(analytic))) < 1e-5
+
+
+def test_sequence_backward_matches_finite_differences():
+    _check_layer_backward(last_only=False)
+
+
+def test_sequence_backward_from_last_state_only_matches_finite_differences():
+    # layer 2's case: no gradient arrives before the last step
+    _check_layer_backward(last_only=True)
 
 
 def test_layer_reversal_symmetry():
@@ -120,13 +157,165 @@ def test_layer_reversal_symmetry():
     pb = _cell_params(3, 4, rng)
 
     def layer(X_, forward, backward):
-        return np.concatenate([_run(X_, forward), _run(X_[:, ::-1, :], backward)[:, ::-1, :]], axis=2)
+        states, _ = _layer_states(_time_major(X_), *_stack(forward, backward))
+        # position order: forward state at t ++ backward state at t, (T, B, 2H)
+        return np.concatenate([states[:, 0], states[::-1, 1]], axis=2)
 
     out = layer(X, pf, pb)
     out_swapped = layer(X[:, ::-1, :], pb, pf)
     H = 4
-    np.testing.assert_allclose(out_swapped[:, :, :H], out[:, ::-1, H:], rtol=1e-12)
-    np.testing.assert_allclose(out_swapped[:, :, H:], out[:, ::-1, :H], rtol=1e-12)
+    np.testing.assert_allclose(out_swapped[:, :, :H], out[::-1, :, H:], rtol=1e-12)
+    np.testing.assert_allclose(out_swapped[:, :, H:], out[::-1, :, :H], rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# exactness against the per-direction loop the stacked recurrence replaced
+
+
+def _reference_sequence_forward(X, W, U, b):
+    """One direction over (B, T, D); returns (states (B, T, H), cache)."""
+    B, T, _ = X.shape
+    H = U.shape[0]
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    outputs = np.zeros((B, T, H))
+    steps = []
+    for t in range(T):
+        x_t = X[:, t, :]
+        pre = x_t @ W + h @ U + b
+        i = 1.0 / (1.0 + np.exp(-pre[:, 0 * H : 1 * H]))
+        f = 1.0 / (1.0 + np.exp(-pre[:, 1 * H : 2 * H]))
+        o = 1.0 / (1.0 + np.exp(-pre[:, 2 * H : 3 * H]))
+        g = np.tanh(pre[:, 3 * H : 4 * H])
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        steps.append((x_t, h, c, i, f, o, g, tanh_c))
+        h, c = o * tanh_c, c_new
+        outputs[:, t, :] = h
+    return outputs, (steps, W, U)
+
+
+def _reference_sequence_backward(dH, cache):
+    steps, W, U = cache
+    B, T, H = dH.shape
+    dW = np.zeros_like(W)
+    dU = np.zeros_like(U)
+    db = np.zeros(4 * H)
+    dX = np.zeros((B, T, W.shape[0]))
+    dh_next = np.zeros((B, H))
+    dc_next = np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        x_t, h_prev, c_prev, i, f, o, g, tanh_c = steps[t]
+        dh = dH[:, t, :] + dh_next
+        do = dh * tanh_c
+        dc = dc_next + dh * o * (1.0 - tanh_c**2)
+        di = dc * g
+        dg = dc * i
+        df = dc * c_prev
+        dc_next = dc * f
+        dpre = np.concatenate(
+            [di * i * (1.0 - i), df * f * (1.0 - f), do * o * (1.0 - o), dg * (1.0 - g**2)],
+            axis=1,
+        )
+        dW += x_t.T @ dpre
+        dU += h_prev.T @ dpre
+        db += dpre.sum(axis=0)
+        dX[:, t, :] = dpre @ W.T
+        dh_next = dpre @ U.T
+    return dX, dW, dU, db
+
+
+def _reference_gradients(params, batch_idx, y, train_embeddings):
+    """Loss and gradients with each direction run on its own, batch-major."""
+
+    def run(X, prefix):
+        return _reference_sequence_forward(
+            X, params[f"{prefix}.W"], params[f"{prefix}.U"], params[f"{prefix}.b"]
+        )
+
+    emb = params["embedding"][batch_idx]
+    h1f, cache1f = run(emb, "l1f")
+    h1b_rev, cache1b = run(emb[:, ::-1, :], "l1b")
+    seq1 = np.concatenate([h1f, h1b_rev[:, ::-1, :]], axis=2)
+    h2f, cache2f = run(seq1, "l2f")
+    h2b_rev, cache2b = run(seq1[:, ::-1, :], "l2b")
+    summary = np.concatenate([h2f[:, -1, :], h2b_rev[:, -1, :]], axis=1)
+    z = (summary @ params["dense.W"] + params["dense.b"]).ravel()
+
+    B, T = batch_idx.shape
+    H1 = params["l1f.U"].shape[0]
+    H2 = params["l2f.U"].shape[0]
+    dz = (1.0 / (1.0 + np.exp(-z)) - y) / B
+    grads = {"dense.W": summary.T @ dz[:, None], "dense.b": np.array([dz.sum()])}
+    dsummary = dz[:, None] @ params["dense.W"].T
+    dh2f = np.zeros((B, T, H2))
+    dh2f[:, -1, :] = dsummary[:, :H2]
+    dseq1_f, grads["l2f.W"], grads["l2f.U"], grads["l2f.b"] = _reference_sequence_backward(
+        dh2f, cache2f
+    )
+    dh2b = np.zeros((B, T, H2))
+    dh2b[:, -1, :] = dsummary[:, H2:]
+    dseq1_b_rev, grads["l2b.W"], grads["l2b.U"], grads["l2b.b"] = _reference_sequence_backward(
+        dh2b, cache2b
+    )
+    dseq1 = dseq1_f + dseq1_b_rev[:, ::-1, :]
+    demb_f, grads["l1f.W"], grads["l1f.U"], grads["l1f.b"] = _reference_sequence_backward(
+        dseq1[:, :, :H1], cache1f
+    )
+    demb_b_rev, grads["l1b.W"], grads["l1b.U"], grads["l1b.b"] = _reference_sequence_backward(
+        dseq1[:, ::-1, H1:], cache1b
+    )
+    if train_embeddings:
+        demb_table = np.zeros_like(params["embedding"])
+        np.add.at(demb_table, batch_idx, demb_f + demb_b_rev[:, ::-1, :])
+        demb_table[0] = 0.0
+        grads["embedding"] = demb_table
+    softplus = np.where(z > 0, z + np.log1p(np.exp(-z)), np.log1p(np.exp(z)))
+    return float(np.mean(softplus - y * z)), grads, z
+
+
+def _perturbed_params(D, H1, H2, V, seed):
+    rng = np.random.default_rng(seed)
+    params = init_params(random_table(V, D, seed=seed).rows, H1, H2, seed=seed + 1)
+    for name in params:
+        if name != "embedding":
+            params[name] = params[name] + rng.standard_normal(params[name].shape) * 0.1
+    return params
+
+
+@pytest.mark.parametrize("train_embeddings", [False, True])
+@pytest.mark.parametrize("T", [1, 30])
+@pytest.mark.parametrize("B", [32, 26, 1])
+def test_stacked_recurrence_is_bit_identical_to_per_direction_loop(B, T, train_embeddings):
+    V, D, H1, H2 = 40, 7, 5, 3
+    params = _perturbed_params(D, H1, H2, V, seed=B + T)
+    rng = np.random.default_rng(B * T)
+    batch_idx = rng.integers(0, V + 1, size=(B, T))  # padding row 0 included
+    y = rng.integers(0, 2, size=B).astype(float)
+    ref_loss, ref_grads, ref_z = _reference_gradients(params, batch_idx, y, train_embeddings)
+
+    # a workspace sized for the largest batch serves this one through views
+    shared = make_workspace(params, T, 32, train_embeddings)
+    for workspace in (None, shared, shared):
+        loss, grads = bilstm_gradients(params, batch_idx, y, train_embeddings, workspace=workspace)
+        assert loss == ref_loss
+        assert sorted(grads) == sorted(ref_grads)
+        for name, value in ref_grads.items():
+            assert np.array_equal(grads[name], value), name
+    z, _, _ = _forward(params, batch_idx, make_workspace(params, T, B))
+    assert np.array_equal(z, ref_z)
+
+
+def test_workspace_that_cannot_hold_the_batch_is_rejected():
+    params = _tiny_model_params()
+    batch_idx = np.array([[1, 2, 3], [4, 5, 6]])
+    y = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match="cannot hold"):
+        bilstm_gradients(params, batch_idx, y, False, workspace=make_workspace(params, 3, 1))
+    with pytest.raises(ValueError, match="cannot hold"):
+        bilstm_gradients(params, batch_idx, y, False, workspace=make_workspace(params, 4, 2))
+    with pytest.raises(ValueError, match="embedding gradient"):
+        bilstm_gradients(params, batch_idx, y, True, workspace=make_workspace(params, 3, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +367,8 @@ def test_zero_dense_layer_gives_half_probability():
     params = _tiny_model_params()
     params["dense.W"][:] = 0.0
     params["dense.b"][:] = 0.0
-    model_probs = 1.0 / (1.0 + np.exp(-_forward_full(params, np.array([[1, 2], [3, 4]]))[0]))
+    model = BiLstmModel(params=params, hidden1=2, hidden2=2, embed_trainable=False)
+    model_probs = bilstm_forward(np.array([[1, 2], [3, 4]]), model)
     np.testing.assert_allclose(model_probs, [0.5, 0.5], rtol=1e-15)
 
 
@@ -188,7 +378,7 @@ def test_all_padding_batch_passes_dense_bias_through():
         if key.startswith(("l1", "l2")):
             params[key][:] = 0.0
     params["dense.b"][:] = 0.7
-    z, _ = _forward_full(params, np.zeros((3, 5), dtype=np.intp))
+    z, _, _ = _forward(params, np.zeros((3, 5), dtype=np.intp), make_workspace(params, 5, 3))
     np.testing.assert_allclose(z, 0.7, rtol=1e-15)
 
 
@@ -298,3 +488,31 @@ def test_embedding_property_wraps_current_rows():
     model = BiLstmModel(params=params, hidden1=2, hidden2=2, embed_trainable=True)
     assert isinstance(model.embedding, EmbeddingTable)
     assert model.embedding.rows is params["embedding"]
+
+
+def test_module_holds_no_arrays_after_training(monkeypatch):
+    """The workspace lives for one training run; nothing stays behind in the module."""
+    made = []
+
+    def recording_make_workspace(*args, **kwargs):
+        workspace = make_workspace(*args, **kwargs)
+        made.extend(weakref.ref(array) for array in workspace.values())
+        return workspace
+
+    monkeypatch.setattr(lstm, "make_workspace", recording_make_workspace)
+    X, y = _keyword_task(n=12)
+    model = bilstm_train(X, y, random_table(11, 4, seed=0), BiLstmConfig(4, 3, 2, 5), seed=0)
+    assert made and model.params
+    gc.collect()
+    assert all(ref() is None for ref in made)
+
+    def holds_array(value):
+        if isinstance(value, np.ndarray):
+            return True
+        if isinstance(value, dict):
+            return any(holds_array(v) for v in value.values())
+        if isinstance(value, (list, tuple, set)):
+            return any(holds_array(v) for v in value)
+        return False
+
+    assert not [name for name, value in vars(lstm).items() if holds_array(value)]
