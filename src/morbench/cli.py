@@ -34,14 +34,10 @@ from morbench.corpus import (
     synthetic_spec_from_dict,
     write_corpus,
 )
-from morbench.embeddings import SkipgramConfig, save_vectors, train_skipgram
+from morbench.embeddings import save_vectors, train_skipgram
 from morbench.errors import ConfigError, MorbenchError
 from morbench.eval import (
-    REPRESENTATIONS,
-    CellResult,
     ExperimentConfig,
-    ExperimentReport,
-    FoldResult,
     config_from_dict,
     config_to_dict,
     default_config_dict,
@@ -49,6 +45,7 @@ from morbench.eval import (
     raw_rows,
     render_report_csv,
     render_report_markdown,
+    report_from_raw_rows,
     run_experiment,
 )
 from morbench.preprocess import build_vocabulary, normalize_text, tokenize
@@ -188,14 +185,7 @@ def cmd_train_embeddings(args) -> int:
     config = _load_config(args.config)
     token_lists = [tokenize(normalize_text(note.text)) for note in notes]
     vocab = build_vocabulary(token_lists)
-    sg = SkipgramConfig(
-        dim=config.embed_dim,
-        window=config.sg_window,
-        epochs=config.sg_epochs,
-        negatives=config.sg_negatives,
-        learning_rate=config.sg_lr,
-        seed=args.seed,
-    )
+    sg = config.skipgram(args.seed)
     table, losses = train_skipgram(token_lists, vocab, sg)
     out = _resolve_out(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -270,51 +260,7 @@ def cmd_report(args) -> int:
         text = Path(args.raw).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read {args.raw}: {exc}") from exc
-    folds: dict[tuple[str, str], list[FoldResult]] = {}
-    skipped: dict[tuple[str, str], str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-            key = (row["morbidity"], row["representation"])
-            if "skipped" in row:
-                skipped[key] = row["skipped"]
-            else:
-                folds.setdefault(key, []).append(
-                    FoldResult(
-                        fold=row["fold"],
-                        f1=row["f1"],
-                        tp=row["tp"],
-                        fp=row["fp"],
-                        fn=row["fn"],
-                        tn=row["tn"],
-                    )
-                )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ConfigError(f"{args.raw} line {lineno}: bad raw row ({exc})") from exc
-
-    keys = set(folds) | set(skipped)
-    if not keys:
-        raise ConfigError(f"{args.raw} holds no result rows")
-    reps = tuple(r for r in REPRESENTATIONS if any(k[1] == r for k in keys))
-    morbidities = order_morbidities({k[0] for k in keys})
-    cells = []
-    for m in morbidities:
-        for rep in reps:
-            key = (m, rep)
-            if key in folds:
-                ordered = tuple(sorted(folds[key], key=lambda fr: fr.fold))
-                cells.append(CellResult(morbidity=m, representation=rep, folds=ordered))
-            else:
-                reason = skipped.get(key, "missing from raw rows")
-                cells.append(CellResult(morbidity=m, representation=rep, skipped=reason))
-    report = ExperimentReport(
-        master_seed=0,
-        config=ExperimentConfig(representations=reps),
-        morbidities=morbidities,
-        cells=tuple(cells),
-    )
+    report = report_from_raw_rows(text.splitlines(), args.raw)
     markdown = render_report_markdown(report)
     outdir = _resolve_out(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -170,142 +171,116 @@ def stratified_kfold(labels, k: int, seed: int) -> list[FoldSplit]:
 # ---------------------------------------------------------------------------
 # configuration
 
+_TYPE_NAMES = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    tuple: "a list of strings",
+}
+_COUNT = ("an integer of at least 1", lambda v: v >= 1)  # sizes, epochs, batches, windows
+_POSITIVE = ("a finite number above 0", lambda v: 0.0 < v < math.inf)  # rates and lambda
+
+
+def _setting(key: str, default, kind: type, rule: str = "", ok=None, nullable: bool = False):
+    """A config field: its dotted file key, its type, whether it may be null, and
+    its range as a predicate ``ok`` with ``rule`` describing it."""
+    meta = {"key": key, "kind": kind, "rule": rule, "ok": ok, "nullable": nullable}
+    return field(default=default, metadata=meta)
+
+
+def _has_type(kind: type, value) -> bool:
+    if kind is tuple:
+        return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    k: int = 10
-    weighted_f1: bool = False
-    fit_scope: str = "fold"  # "fold": fit representations on training folds only
-    representations: tuple[str, ...] = REPRESENTATIONS
-    morbidities: tuple[str, ...] | None = None  # None: every morbidity in the corpus
-    svm_lambda: float = 1e-4
-    svm_epochs: int = 50
-    mlp_hidden: int = 100
-    mlp_epochs: int = 200
-    mlp_batch: int = 32
-    bilstm_hidden1: int = 64
-    bilstm_hidden2: int = 64
-    bilstm_epochs: int = 20
-    bilstm_batch: int = 32
-    embed_dim: int = 300
-    sg_window: int = 5
-    sg_epochs: int = 10
-    sg_negatives: int = 5
-    sg_lr: float = 0.025
-    rms_rho: float = 0.9
-    rms_lr: float = 0.001
-    rms_eps: float = 1e-7
-    word2vec_path: str | None = None
-    glove_path: str | None = None
+    """Every setting of an experiment; each field declares its config-file key,
+    type and range once, and construction checks them all (ConfigError)."""
+
+    k: int = _setting("eval.k", 10, int, "at least 2", lambda v: v >= 2)
+    weighted_f1: bool = _setting("eval.weighted_f1", False, bool)
+    # "fold": fit representations on training folds only
+    fit_scope: str = _setting(
+        "eval.fit_scope", "fold", str, "'fold' or 'corpus'", lambda v: v in ("fold", "corpus")
+    )
+    representations: tuple[str, ...] = _setting(
+        "eval.representations",
+        REPRESENTATIONS,
+        tuple,
+        f"a list without unknown representations (known: {', '.join(REPRESENTATIONS)})",
+        lambda v: set(v) <= set(REPRESENTATIONS),
+    )
+    # None: every morbidity in the corpus
+    morbidities: tuple[str, ...] | None = _setting("eval.morbidities", None, tuple, nullable=True)
+    svm_lambda: float = _setting("svm.lambda", 1e-4, float, *_POSITIVE)
+    svm_epochs: int = _setting("svm.epochs", 50, int, *_COUNT)
+    mlp_hidden: int = _setting("mlp.hidden_size", 100, int, *_COUNT)
+    mlp_epochs: int = _setting("mlp.epochs", 200, int, *_COUNT)
+    mlp_batch: int = _setting("mlp.batch_size", 32, int, *_COUNT)
+    bilstm_hidden1: int = _setting("bilstm.hidden1", 64, int, *_COUNT)
+    bilstm_hidden2: int = _setting("bilstm.hidden2", 64, int, *_COUNT)
+    bilstm_epochs: int = _setting("bilstm.epochs", 20, int, *_COUNT)
+    bilstm_batch: int = _setting("bilstm.batch_size", 32, int, *_COUNT)
+    embed_dim: int = _setting("embeddings.dim", 300, int, *_COUNT)
+    sg_window: int = _setting("skipgram.window", 5, int, *_COUNT)
+    sg_epochs: int = _setting("skipgram.epochs", 10, int, *_COUNT)
+    sg_negatives: int = _setting("skipgram.negatives", 5, int, *_COUNT)
+    sg_lr: float = _setting("skipgram.learning_rate", 0.025, float, *_POSITIVE)
+    rms_rho: float = _setting("rmsprop.rho", 0.9, float, "a number in [0, 1)", lambda v: 0 <= v < 1)
+    rms_lr: float = _setting("rmsprop.learning_rate", 0.001, float, *_POSITIVE)
+    rms_eps: float = _setting("rmsprop.eps", 1e-7, float, *_POSITIVE)
+    word2vec_path: str | None = _setting("embeddings.word2vec_path", None, str, nullable=True)
+    glove_path: str | None = _setting("embeddings.glove_path", None, str, nullable=True)
 
     def __post_init__(self):
-        if self.fit_scope not in ("fold", "corpus"):
-            raise ConfigError(f"eval.fit_scope must be 'fold' or 'corpus', got {self.fit_scope!r}")
-        for rep in self.representations:
-            if rep not in REPRESENTATIONS:
-                raise ConfigError(
-                    f"unknown representation {rep!r}; known: {', '.join(REPRESENTATIONS)}"
-                )
-        if self.k < 2:
-            raise ConfigError(f"eval.k must be at least 2, got {self.k}")
-        for key in _COUNT_KEYS:
-            value = getattr(self, _CONFIG_KEYS[key][0])
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{key} must be an integer of at least 1, got {value!r}")
+        for f in fields(self):
+            key, kind, value = f.metadata["key"], f.metadata["kind"], getattr(self, f.name)
+            if value is None and f.metadata["nullable"]:
+                continue
+            if not _has_type(kind, value):
+                raise ConfigError(f"config key {key!r} must be {_TYPE_NAMES[kind]}")
+            value = kind(value)  # file numbers become floats, lists become tuples
+            if f.metadata["ok"] is not None and not f.metadata["ok"](value):
+                raise ConfigError(f"{key} must be {f.metadata['rule']}, got {value!r}")
+            object.__setattr__(self, f.name, value)
 
     def rmsprop(self) -> RmspropConfig:
         return RmspropConfig(rho=self.rms_rho, learning_rate=self.rms_lr, eps=self.rms_eps)
 
+    def skipgram(self, seed: int) -> SkipgramConfig:
+        return SkipgramConfig(
+            dim=self.embed_dim,
+            window=self.sg_window,
+            epochs=self.sg_epochs,
+            negatives=self.sg_negatives,
+            learning_rate=self.sg_lr,
+            seed=seed,
+        )
 
-# flat config-file key -> (field name, type coercion)
-_CONFIG_KEYS: dict[str, tuple[str, type]] = {
-    "eval.k": ("k", int),
-    "eval.weighted_f1": ("weighted_f1", bool),
-    "eval.fit_scope": ("fit_scope", str),
-    "eval.representations": ("representations", tuple),
-    "eval.morbidities": ("morbidities", tuple),
-    "svm.lambda": ("svm_lambda", float),
-    "svm.epochs": ("svm_epochs", int),
-    "mlp.hidden_size": ("mlp_hidden", int),
-    "mlp.epochs": ("mlp_epochs", int),
-    "mlp.batch_size": ("mlp_batch", int),
-    "bilstm.hidden1": ("bilstm_hidden1", int),
-    "bilstm.hidden2": ("bilstm_hidden2", int),
-    "bilstm.epochs": ("bilstm_epochs", int),
-    "bilstm.batch_size": ("bilstm_batch", int),
-    "embeddings.dim": ("embed_dim", int),
-    "embeddings.word2vec_path": ("word2vec_path", str),
-    "embeddings.glove_path": ("glove_path", str),
-    "skipgram.window": ("sg_window", int),
-    "skipgram.epochs": ("sg_epochs", int),
-    "skipgram.negatives": ("sg_negatives", int),
-    "skipgram.learning_rate": ("sg_lr", float),
-    "rmsprop.rho": ("rms_rho", float),
-    "rmsprop.learning_rate": ("rms_lr", float),
-    "rmsprop.eps": ("rms_eps", float),
-}
 
-# sizes, epochs, batches and windows: each must be at least 1
-_COUNT_KEYS = (
-    "svm.epochs",
-    "mlp.hidden_size",
-    "mlp.epochs",
-    "mlp.batch_size",
-    "bilstm.hidden1",
-    "bilstm.hidden2",
-    "bilstm.epochs",
-    "bilstm.batch_size",
-    "embeddings.dim",
-    "skipgram.window",
-    "skipgram.epochs",
-    "skipgram.negatives",
-)
+# dotted config-file key -> ExperimentConfig field name
+_FIELD_OF_KEY = {f.metadata["key"]: f.name for f in fields(ExperimentConfig)}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from the flat {dotted_key: value} form used in files."""
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in _CONFIG_KEYS:
+    for key in raw:
+        if key not in _FIELD_OF_KEY:
             raise ConfigError(f"unknown config key {key!r}")
-        name, kind = _CONFIG_KEYS[key]
-        if value is None:
-            kwargs[name] = None
-            continue
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise ConfigError(f"config key {key!r} must be true or false")
-            kwargs[name] = value
-        elif kind is tuple:
-            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                raise ConfigError(f"config key {key!r} must be a list of strings")
-            kwargs[name] = tuple(value)
-        elif kind is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"config key {key!r} must be an integer")
-            kwargs[name] = value
-        elif kind is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"config key {key!r} must be a number")
-            kwargs[name] = float(value)
-        else:
-            if not isinstance(value, str):
-                raise ConfigError(f"config key {key!r} must be a string")
-            kwargs[name] = value
-    try:
-        return ExperimentConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:  # pragma: no cover - defensive
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**{_FIELD_OF_KEY[key]: value for key, value in raw.items()})
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Flatten a config back to the {dotted_key: value} file form."""
     out = {}
-    for key, (name, _) in _CONFIG_KEYS.items():
+    for key, name in _FIELD_OF_KEY.items():
         value = getattr(config, name)
         out[key] = list(value) if isinstance(value, tuple) else value
     return out
@@ -364,15 +339,7 @@ def _embedding(source: str, vocab, train_docs, config: ExperimentConfig, seed: i
     if source == "random":
         return random_table(len(vocab), config.embed_dim, seed), True
     if source == "skipgram":
-        sg = SkipgramConfig(
-            dim=config.embed_dim,
-            window=config.sg_window,
-            epochs=config.sg_epochs,
-            negatives=config.sg_negatives,
-            learning_rate=config.sg_lr,
-            seed=seed,
-        )
-        table, _ = train_skipgram(train_docs, vocab, sg)
+        table, _ = train_skipgram(train_docs, vocab, config.skipgram(seed))
         return table, False
     cell_vocab, cell_table = pretrained
     return restrict_table(cell_table, cell_vocab, vocab), False
@@ -580,67 +547,91 @@ def _format_cell(value: float | None) -> str:
     return "n/a" if value is None else f"{100.0 * value:.2f}"
 
 
-def render_report_markdown(report: ExperimentReport) -> str:
+def _report_rows(report: ExperimentReport) -> list[list[str]]:
+    """The header, one row per morbidity, then Average: the cells of both report tables."""
     reps = report.config.representations
-    header = ["morbidity", *reps]
-    rows = [header, ["---"] * len(header)]
+    rows = [["morbidity", *reps]]
     for m in report.morbidities:
         rows.append([m, *(_format_cell(report.cell(m, rep).mean_f1) for rep in reps)])
     rows.append(["Average", *(_format_cell(report.mean_over_morbidities(rep)) for rep in reps)])
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+    return rows
+
+
+def render_report_markdown(report: ExperimentReport) -> str:
+    rows = _report_rows(report)
+    rows.insert(1, ["---"] * len(rows[0]))
+    widths = [max(len(cell) for cell in column) for column in zip(*rows)]
     lines = []
     for row in rows:
         cells = [
-            row[i].ljust(widths[i]) if i == 0 else row[i].rjust(widths[i])
-            for i in range(len(row))
+            cell.ljust(width) if i == 0 else cell.rjust(width)
+            for i, (cell, width) in enumerate(zip(row, widths))
         ]
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
 
 
 def render_report_csv(report: ExperimentReport) -> str:
-    reps = report.config.representations
-    lines = [",".join(["morbidity", *reps])]
-    for m in report.morbidities:
-        lines.append(",".join([m, *(_format_cell(report.cell(m, rep).mean_f1) for rep in reps)]))
-    lines.append(
-        ",".join(["Average", *(_format_cell(report.mean_over_morbidities(rep)) for rep in reps)])
-    )
-    return "\n".join(lines) + "\n"
+    return "\n".join(",".join(row) for row in _report_rows(report)) + "\n"
 
 
 def raw_rows(report: ExperimentReport) -> list[str]:
-    """One JSON line per fold (or per skipped cell); byte-deterministic."""
+    """One JSON line per fold (or per skipped cell); byte-deterministic.
+
+    report_from_raw_rows reads these lines back.
+    """
     lines = []
     for cell in report.cells:
+        coords = {"morbidity": cell.morbidity, "representation": cell.representation}
         if cell.skipped is not None:
-            lines.append(
-                json.dumps(
-                    {
-                        "morbidity": cell.morbidity,
-                        "representation": cell.representation,
-                        "skipped": cell.skipped,
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-            )
-            continue
-        for fr in cell.folds:
-            lines.append(
-                json.dumps(
-                    {
-                        "morbidity": cell.morbidity,
-                        "representation": cell.representation,
-                        "fold": fr.fold,
-                        "f1": fr.f1,
-                        "tp": fr.tp,
-                        "fp": fr.fp,
-                        "fn": fr.fn,
-                        "tn": fr.tn,
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-            )
+            rows = [{**coords, "skipped": cell.skipped}]
+        else:
+            rows = [{**coords, **asdict(fr)} for fr in cell.folds]
+        lines.extend(json.dumps(row, sort_keys=True, ensure_ascii=False) for row in rows)
     return lines
+
+
+def report_from_raw_rows(lines, where: str) -> ExperimentReport:
+    """Rebuild the report that raw_rows wrote, enough to render its tables again.
+
+    Representations appear in their canonical order and morbidities as
+    order_morbidities sorts them; a cell with no row renders as n/a.
+    ``where`` names the source in error messages.
+    """
+    folds: dict[tuple[str, str], list[FoldResult]] = {}
+    skipped: dict[tuple[str, str], str] = {}
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+            key = (row["morbidity"], row["representation"])
+            if "skipped" in row:
+                skipped[key] = row["skipped"]
+            else:
+                fold = FoldResult(**{f.name: row[f.name] for f in fields(FoldResult)})
+                folds.setdefault(key, []).append(fold)
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{where} line {lineno}: bad raw row ({exc})") from exc
+
+    keys = set(folds) | set(skipped)
+    if not keys:
+        raise ConfigError(f"{where} holds no result rows")
+    reps = tuple(r for r in REPRESENTATIONS if any(k[1] == r for k in keys))
+    morbidities = order_morbidities({k[0] for k in keys})
+    cells = []
+    for m in morbidities:
+        for rep in reps:
+            key = (m, rep)
+            if key in folds:
+                ordered = tuple(sorted(folds[key], key=lambda fr: fr.fold))
+                cells.append(CellResult(morbidity=m, representation=rep, folds=ordered))
+            else:
+                reason = skipped.get(key, "missing from raw rows")
+                cells.append(CellResult(morbidity=m, representation=rep, skipped=reason))
+    return ExperimentReport(
+        master_seed=0,
+        config=ExperimentConfig(representations=reps),
+        morbidities=morbidities,
+        cells=tuple(cells),
+    )

@@ -165,6 +165,24 @@ def test_report_rerenders_identical_tables(workspace):
     assert (rerender / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"morbidity": "Gout", "representation": "tfidf_svm", "skipped": "x"}\n{"f1": 0.5\n', "line 2"),
+        ('{"morbidity": "Gout", "representation": "tfidf_svm", "fold": 0, "f1": 0.5}\n', "line 1"),
+        ("", "holds no result rows"),
+        ("\n\n", "holds no result rows"),
+    ],
+)
+def test_report_on_bad_raw_rows_is_a_usage_error(workspace, capsys, text, message):
+    (workspace / "raw.jsonl").write_text(text, encoding="utf-8")
+    out = workspace / "rerendered"
+    assert main(["report", str(workspace / "raw.jsonl"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "raw.jsonl" in err and message in err and "internal error" not in err
+    assert not out.exists()
+
+
 def test_train_embeddings_writes_loadable_vectors(workspace, capsys):
     corpus = _synth(workspace)
     sg_config = {"embeddings.dim": 8, "skipgram.epochs": 1, "skipgram.window": 2}
@@ -235,6 +253,33 @@ def test_out_of_range_model_size_is_a_usage_error(workspace, capsys, key, value)
     code = main(["run", str(corpus), "--config", str(workspace / "sizes.json"), "--out", str(out)])
     assert code == 2
     assert f"{key} must be an integer of at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("rmsprop.rho", 2.0),
+        ("skipgram.learning_rate", -1.0),
+        ("svm.lambda", None),
+        ("rmsprop.rho", None),
+        ("skipgram.learning_rate", None),
+        ("rmsprop.eps", -1.0),
+        ("svm.lambda", -1.0),
+        ("eval.weighted_f1", None),
+        ("svm.lambda", float("nan")),
+        ("rmsprop.learning_rate", float("inf")),
+    ],
+)
+def test_out_of_range_or_null_setting_is_a_usage_error(workspace, capsys, key, value):
+    # json.dumps writes NaN and Infinity, which json.loads reads back as floats
+    (workspace / "bad.json").write_text(json.dumps({key: value}), encoding="utf-8")
+    corpus = _synth(workspace)
+    out = workspace / "o"
+    code = main(["run", str(corpus), "--config", str(workspace / "bad.json"), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert key in err and "internal error" not in err
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Tests for folding, metrics, configuration, and the experiment engine."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from morbench.eval import (
     raw_rows,
     render_report_csv,
     render_report_markdown,
+    report_from_raw_rows,
     run_cell,
     run_experiment,
     stratified_kfold,
@@ -221,6 +223,34 @@ def test_config_semantic_validation():
     with pytest.raises(ConfigError, match="fit_scope"):
         ExperimentConfig(fit_scope="document")
     assert config_from_dict({}) == ExperimentConfig()
+
+
+@pytest.mark.parametrize(
+    "field, value, key",
+    [
+        ("svm_lambda", -1.0, "svm.lambda"),
+        ("svm_lambda", 0.0, "svm.lambda"),
+        ("svm_lambda", None, "svm.lambda"),
+        ("sg_lr", float("nan"), "skipgram.learning_rate"),
+        ("rms_lr", float("inf"), "rmsprop.learning_rate"),
+        ("rms_eps", -1e-7, "rmsprop.eps"),
+        ("rms_rho", 1.0, "rmsprop.rho"),
+        ("rms_rho", -0.1, "rmsprop.rho"),
+        ("weighted_f1", None, "eval.weighted_f1"),
+        ("mlp_batch", True, "mlp.batch_size"),
+    ],
+)
+def test_direct_construction_checks_every_rule(field, value, key):
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig(**{field: value})
+
+
+def test_config_edges_and_coercion():
+    config = ExperimentConfig(rms_rho=0.0, representations=["tfidf_svm"], morbidities=None)
+    assert config.rms_rho == 0.0 and config.representations == ("tfidf_svm",)
+    from_file = config_from_dict({"svm.lambda": 1, "rmsprop.rho": 0})
+    assert isinstance(from_file.svm_lambda, float) and isinstance(from_file.rms_rho, float)
+    assert config_to_dict(from_file)["svm.lambda"] == 1.0
 
 
 def test_order_morbidities_canonical_then_extras():
@@ -548,3 +578,37 @@ def test_raw_rows_shape_and_determinism():
         "representation": "tfidf_svm",
         "skipped": "why",
     }
+
+
+def _report_with_skips():
+    def folds(*f1s):
+        return tuple(FoldResult(i, f1, i + 1, 1, 2, 3) for i, f1 in enumerate(f1s))
+
+    config = _cheap_config(representations=("tfidf_svm", "tfidf_mlp", "bilstm_random"))
+    cells = (
+        CellResult("Asthma", "tfidf_svm", folds(0.5, 0.25, 1.0)),
+        CellResult("Asthma", "tfidf_mlp", skipped="class counts 1 positive / 9 negative"),
+        CellResult("Asthma", "bilstm_random", folds(0.1, 0.2, 0.3)),
+        CellResult("Gout", "tfidf_svm", folds(0.0, 2 / 3, 1 / 3)),
+        CellResult("Gout", "tfidf_mlp", folds(0.75, 0.5, 0.125)),
+        CellResult("Gout", "bilstm_random", skipped="notes too short"),
+    )
+    return ExperimentReport(
+        master_seed=0, config=config, morbidities=("Asthma", "Gout"), cells=cells
+    )
+
+
+def test_report_from_raw_rows_round_trips_the_tables():
+    report = _report_with_skips()
+    rebuilt = report_from_raw_rows(raw_rows(report), "raw.jsonl")
+    assert render_report_markdown(rebuilt) == render_report_markdown(report)
+    assert render_report_csv(rebuilt) == render_report_csv(report)
+    assert rebuilt.cells == report.cells
+
+
+def test_report_from_raw_rows_renders_a_missing_cell_as_na():
+    report = _report_with_skips()
+    cells = tuple(c for c in report.cells if (c.morbidity, c.representation) != ("Gout", "tfidf_mlp"))
+    rebuilt = report_from_raw_rows(raw_rows(replace(report, cells=cells)), "raw.jsonl")
+    assert rebuilt.cell("Gout", "tfidf_mlp").skipped == "missing from raw rows"
+    assert render_report_csv(rebuilt).splitlines()[2].split(",")[2] == "n/a"
