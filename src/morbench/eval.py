@@ -591,12 +591,23 @@ def raw_rows(report: ExperimentReport) -> list[str]:
     return lines
 
 
+def _check_fold_result(fold: FoldResult) -> None:
+    """Raise ValueError unless the counts are ints and f1 a finite number (bools are neither)."""
+    for name in ("fold", "tp", "fp", "fn", "tn"):
+        value = getattr(fold, name)
+        if type(value) is not int:
+            raise ValueError(f"{name} {value!r} is not an integer")
+    if type(fold.f1) not in (int, float) or not math.isfinite(fold.f1):
+        raise ValueError(f"f1 {fold.f1!r} is not a finite number")
+
+
 def report_from_raw_rows(lines, where: str) -> ExperimentReport:
     """Rebuild the report that raw_rows wrote, enough to render its tables again.
 
     Representations appear in their canonical order and morbidities as
-    order_morbidities sorts them; a cell with no row renders as n/a.
-    ``where`` names the source in error messages.
+    order_morbidities sorts them; a cell with no row renders as n/a. A row
+    with a missing key, a value of the wrong type or an unknown
+    representation raises ConfigError; ``where`` names the source in it.
     """
     folds: dict[tuple[str, str], list[FoldResult]] = {}
     skipped: dict[tuple[str, str], str] = {}
@@ -606,12 +617,19 @@ def report_from_raw_rows(lines, where: str) -> ExperimentReport:
         try:
             row = json.loads(line)
             key = (row["morbidity"], row["representation"])
+            if not (isinstance(key[0], str) and key[0]):
+                raise ValueError(f"morbidity {key[0]!r} is not a non-empty string")
+            if key[1] not in REPRESENTATIONS:
+                raise ValueError(f"unknown representation {key[1]!r}")
             if "skipped" in row:
+                if not isinstance(row["skipped"], str):
+                    raise ValueError(f"skipped {row['skipped']!r} is not a string")
                 skipped[key] = row["skipped"]
             else:
                 fold = FoldResult(**{f.name: row[f.name] for f in fields(FoldResult)})
+                _check_fold_result(fold)
                 folds.setdefault(key, []).append(fold)
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{where} line {lineno}: bad raw row ({exc})") from exc
 
     keys = set(folds) | set(skipped)

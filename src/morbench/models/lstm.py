@@ -21,13 +21,8 @@ directions' parameters are stacked the same way, (2, D, 4H), so a step is
 one batched matmul per operand. Training and bilstm_forward run the same
 forward pass.
 
-The per-step caches (gates, cell states and states) and the backward
-pass's gradient buffers live in a workspace, a dict of (T, 2, B, .) arrays
-made by make_workspace. bilstm_train makes one per training run, sized for
-its largest batch; a shorter batch uses the [:, :, :B] views, and the
-workspace is dropped when bilstm_train returns. A bilstm_gradients or
-bilstm_forward call without one makes its own. The module keeps no array
-state.
+Each call allocates its own per-step caches and gradient buffers, so the
+module keeps no array state.
 
 The result is bit-identical to running each direction on its own: a
 batched matmul makes the same BLAS call per direction as a separate one
@@ -49,39 +44,9 @@ from morbench.embeddings import EmbeddingTable
 from morbench.models.rmsprop import Params, RmspropConfig, RmspropState, rmsprop_step
 from morbench.preprocess import EncodedDoc
 
-Workspace = dict[str, np.ndarray]
-_CACHE = ("ifo", "g", "c", "tanh_c", "h")  # per layer; c and h carry the zero initial state at row 0
-
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
-
-
-def make_workspace(params: Params, T: int, B: int, train_embeddings: bool = False) -> Workspace:
-    """Per-step buffers for batches of up to B sequences of length T."""
-    D = params["embedding"].shape[1]
-    H1 = params["l1f.U"].shape[0]
-    H2 = params["l2f.U"].shape[0]
-    shapes = {"dx2": (T, 2 * H1), "dh1": (T, H1)}
-    for layer, H in (("l1", H1), ("l2", H2)):
-        for name, shape in zip(_CACHE, ((T, 3 * H), (T, H), (T + 1, H), (T, H), (T + 1, H))):
-            shapes[f"{layer}.{name}"] = shape
-    if train_embeddings:
-        shapes["dx1"] = (T, D)
-    return {name: np.empty((rows, 2, B, width)) for name, (rows, width) in shapes.items()}
-
-
-def _batch_views(ws: Workspace, T: int, B: int, train_embeddings: bool) -> Workspace:
-    rows, _, capacity, _ = ws["dh1"].shape
-    if rows != T or capacity < B:
-        raise ValueError(f"workspace for T={rows}, B<={capacity} cannot hold T={T}, B={B}")
-    if train_embeddings and "dx1" not in ws:
-        raise ValueError("workspace was made without the embedding gradient buffer")
-    return {name: a[:, :, :B] for name, a in ws.items()}
-
-
-def _layer_cache(ws: Workspace, layer: str) -> list[np.ndarray]:
-    return [ws[f"{layer}.{name}"] for name in _CACHE]
 
 
 def _stacked(params: Params, layer: str):
@@ -104,12 +69,18 @@ def _step_inputs(X: np.ndarray) -> list[np.ndarray]:
     ]
 
 
-def _layer_forward(steps: list[np.ndarray], W, U, b, cache) -> None:
-    """Run both directions over the step inputs of _step_inputs, filling the cache."""
-    ifo, g, c, tanh_c, h = cache
-    H = U.shape[1]
-    h[0] = 0.0
-    c[0] = 0.0
+def _layer_forward(steps: list[np.ndarray], W, U, b):
+    """Run both directions over the step inputs of _step_inputs.
+
+    Returns the cache (ifo, g, c, tanh_c, h), each (T, 2, B, .); c and h
+    hold the zero initial state at row 0, so step t's state is row t+1.
+    """
+    T, B, H = len(steps), steps[0].shape[1], U.shape[1]
+    ifo = np.empty((T, 2, B, 3 * H))
+    g = np.empty((T, 2, B, H))
+    tanh_c = np.empty((T, 2, B, H))
+    c = np.zeros((T + 1, 2, B, H))
+    h = np.zeros((T + 1, 2, B, H))
     for t, x in enumerate(steps):
         pre = np.matmul(x, W)
         pre += np.matmul(h[t], U)
@@ -121,17 +92,19 @@ def _layer_forward(steps: list[np.ndarray], W, U, b, cache) -> None:
         c[t + 1] += gates[..., :H] * g[t]
         np.tanh(c[t + 1], out=tanh_c[t])
         np.multiply(gates[..., 2 * H :], tanh_c[t], out=h[t + 1])
+    return ifo, g, c, tanh_c, h
 
 
-def _layer_backward(steps: list[np.ndarray], W, U, cache, dH: np.ndarray, dX: np.ndarray | None):
-    """BPTT through both directions; returns the stacked (dW, dU, db).
+def _layer_backward(steps: list[np.ndarray], W, U, cache, dH: np.ndarray, want_dX: bool):
+    """BPTT through both directions; returns the stacked (dW, dU, db, dX).
 
     dH is (T, 2, B, H), the gradient on every emitted state, or (2, B, H),
-    the gradient on the last state only. dX (T, 2, B, D), when given,
-    receives each direction's gradient on its step's input.
+    the gradient on the last state only. dX, (T, 2, B, D) when want_dX and
+    None otherwise, holds each direction's gradient on its step's input.
     """
     ifo, g, c, tanh_c, h = cache
     H = U.shape[1]
+    dX = np.empty((len(steps), *steps[0].shape)) if want_dX else None
     dW = np.zeros_like(W)
     dU = np.zeros_like(U)
     db = np.zeros((2, 4 * H))
@@ -162,7 +135,7 @@ def _layer_backward(steps: list[np.ndarray], W, U, cache, dH: np.ndarray, dX: np
         if t:
             dh_next = np.matmul(dpre, UT)
             dc_next = dc * gates[..., H : 2 * H]
-    return dW, dU, db
+    return dW, dU, db, dX
 
 
 @dataclass(frozen=True)
@@ -212,30 +185,30 @@ def init_params(embedding: np.ndarray, hidden1: int, hidden2: int, seed: int) ->
     return params
 
 
-def _forward(params: Params, batch_idx: np.ndarray, ws: Workspace):
-    """Logits, the dense layer's input and each layer's step inputs; fills the workspace."""
+def _forward(params: Params, batch_idx: np.ndarray):
+    """Logits, the dense layer's input and, per layer, (steps, W, U, cache)."""
     T = batch_idx.shape[1]
     steps1 = _step_inputs(params["embedding"][batch_idx.T])  # embedded batch, (T, B, D)
-    _layer_forward(steps1, *_stacked(params, "l1"), _layer_cache(ws, "l1"))
+    W1, U1, b1 = _stacked(params, "l1")
+    cache1 = _layer_forward(steps1, W1, U1, b1)
 
     # layer 2 reads position t's forward state ++ backward state; the backward
     # direction's state at position t is its step T-1-t, row T-t of its h
-    h1 = ws["l1.h"]
+    h1 = cache1[-1]
     steps2 = _step_inputs(np.concatenate([h1[1:, 0], h1[T:0:-1, 1]], axis=2))
-    _layer_forward(steps2, *_stacked(params, "l2"), _layer_cache(ws, "l2"))
+    W2, U2, b2 = _stacked(params, "l2")
+    cache2 = _layer_forward(steps2, W2, U2, b2)
 
     # forward direction's last state ++ backward direction's state at position 0
-    last = ws["l2.h"][T]
+    last = cache2[-1][T]
     summary = np.concatenate([last[0], last[1]], axis=1)  # (B, 2H2)
     z = (summary @ params["dense.W"] + params["dense.b"]).ravel()
-    return z, summary, (steps1, steps2)
+    return z, summary, ((steps1, W1, U1, cache1), (steps2, W2, U2, cache2))
 
 
 def bilstm_forward(encoded_batch, model: BiLstmModel) -> np.ndarray:
     """Probabilities in (0,1), one per document."""
-    batch_idx = _as_index_batch(encoded_batch)
-    B, T = batch_idx.shape
-    z, _, _ = _forward(model.params, batch_idx, make_workspace(model.params, T, B))
+    z, _, _ = _forward(model.params, _as_index_batch(encoded_batch))
     return _sigmoid(z)
 
 
@@ -257,29 +230,16 @@ def _mean_bce(z: np.ndarray, y: np.ndarray) -> float:
 
 
 def bilstm_loss(params: Params, batch_idx: np.ndarray, y: np.ndarray) -> float:
-    B, T = batch_idx.shape
-    z, _, _ = _forward(params, batch_idx, make_workspace(params, T, B))
+    z, _, _ = _forward(params, batch_idx)
     return _mean_bce(z, y)
 
 
 def bilstm_gradients(
-    params: Params,
-    batch_idx: np.ndarray,
-    y: np.ndarray,
-    train_embeddings: bool,
-    *,
-    workspace: Workspace | None = None,
+    params: Params, batch_idx: np.ndarray, y: np.ndarray, train_embeddings: bool
 ) -> tuple[float, Params]:
-    """Mean BCE loss and gradients for every trainable parameter.
-
-    workspace, from make_workspace, holds the per-step caches; without one
-    the call makes its own.
-    """
-    B, T = batch_idx.shape
-    if workspace is None:
-        workspace = make_workspace(params, T, B, train_embeddings)
-    ws = _batch_views(workspace, T, B, train_embeddings)
-    z, summary, (steps1, steps2) = _forward(params, batch_idx, ws)
+    """Mean BCE loss and gradients for every trainable parameter."""
+    B = batch_idx.shape[0]
+    z, summary, (layer1_in, layer2_in) = _forward(params, batch_idx)
     prob = _sigmoid(z)
     H1 = params["l1f.U"].shape[0]
     H2 = params["l2f.U"].shape[0]
@@ -292,18 +252,15 @@ def bilstm_gradients(
     dsummary = dz[:, None] @ params["dense.W"].T  # (B, 2H2)
 
     # layer 2: gradient arrives only at each direction's final step
-    W2, U2, _ = _stacked(params, "l2")
     dlast = np.stack([dsummary[:, :H2], dsummary[:, H2:]])
-    dx2 = ws["dx2"]
-    layer2 = _layer_backward(steps2, W2, U2, _layer_cache(ws, "l2"), dlast, dx2)
+    *layer2, dx2 = _layer_backward(*layer2_in, dlast, True)
 
     # layer 1: each direction's state gradient, gathered from both of layer 2's input gradients
-    dh1 = ws["dh1"]
-    np.add(dx2[:, 0, :, :H1], dx2[::-1, 1, :, :H1], out=dh1[:, 0])
-    np.add(dx2[::-1, 0, :, H1:], dx2[:, 1, :, H1:], out=dh1[:, 1])
-    dx1 = ws["dx1"] if train_embeddings else None
-    W1, U1, _ = _stacked(params, "l1")
-    layer1 = _layer_backward(steps1, W1, U1, _layer_cache(ws, "l1"), dh1, dx1)
+    dh1 = np.stack(
+        [dx2[:, 0, :, :H1] + dx2[::-1, 1, :, :H1], dx2[::-1, 0, :, H1:] + dx2[:, 1, :, H1:]],
+        axis=1,
+    )
+    *layer1, dx1 = _layer_backward(*layer1_in, dh1, train_embeddings)
 
     for layer, (dW, dU, db) in (("l2", layer2), ("l1", layer1)):
         for d, direction in enumerate("fb"):
@@ -342,15 +299,12 @@ def bilstm_train(
     state = RmspropState.fresh(trainable, config.rmsprop)
 
     rng = np.random.default_rng(seed + 1)
-    n, T = batch_idx.shape
-    workspace = make_workspace(params, T, min(n, config.batch_size), config.train_embeddings)
+    n = batch_idx.shape[0]
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            _, grads = bilstm_gradients(
-                params, batch_idx[batch], y[batch], config.train_embeddings, workspace=workspace
-            )
+            _, grads = bilstm_gradients(params, batch_idx[batch], y[batch], config.train_embeddings)
             rmsprop_step(params, grads, state)
     return BiLstmModel(
         params=params,

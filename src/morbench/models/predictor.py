@@ -39,6 +39,8 @@ from morbench.preprocess import (
 from morbench.tfidf import TfidfModel, normalize_row, transform
 
 KINDS = ("svm", "mlp", "bilstm")
+# notes per bilstm_forward call, so scoring memory is bounded like a training batch's
+BILSTM_SCORE_BATCH = 32
 
 
 @dataclass
@@ -91,7 +93,11 @@ def predict_batch(handle: PredictorHandle, token_lists) -> np.ndarray:
     """0/1 labels for notes already split by ``note_tokens(text, handle.stopwords)``."""
     if handle.kind == "bilstm":
         X = index_matrix(token_lists, handle.vocab, handle.length_policy)
-        return (bilstm_forward(X, handle.model) >= 0.5).astype(int)
+        probs = [
+            bilstm_forward(X[start : start + BILSTM_SCORE_BATCH], handle.model)
+            for start in range(0, len(X), BILSTM_SCORE_BATCH)
+        ]
+        return (np.concatenate(probs) >= 0.5).astype(int)
     X = tfidf_matrix(token_lists, handle.tfidf)
     if handle.kind == "svm":
         # row by row, so each note in a batch scores exactly as a one-note call does

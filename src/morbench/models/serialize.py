@@ -15,6 +15,7 @@ metadata goes through JSON repr, which is lossless for finite doubles.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -44,6 +45,7 @@ def _pack(kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
 
 
 def save_model(model, path: str | Path) -> None:
+    """Write the model file atomically: a failed save leaves any earlier file as it was."""
     if isinstance(model, SvmModel):
         blob = _pack(
             "svm",
@@ -61,7 +63,14 @@ def save_model(model, path: str | Path) -> None:
         blob = _pack("bilstm", meta, model.params)
     else:
         raise ValueError(f"cannot serialize object of type {type(model).__name__}")
-    Path(path).write_bytes(blob)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _check_header(path, header) -> None:

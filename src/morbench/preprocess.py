@@ -57,11 +57,6 @@ class Vocabulary:
         """Words ordered by index (1..V)."""
         return sorted(self.index, key=self.index.get)
 
-    def decode(self, indices: list[int]) -> list[str]:
-        """Inverse lookup; padding indices are skipped."""
-        by_index = {i: w for w, i in self.index.items()}
-        return [by_index[i] for i in indices if i != PAD_INDEX]
-
 
 def build_vocabulary(token_lists: list[list[str]]) -> Vocabulary:
     counts = Counter()

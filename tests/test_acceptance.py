@@ -37,7 +37,6 @@ from morbench.eval import (
 from morbench.models.lstm import (
     BiLstmConfig,
     _layer_backward,
-    _layer_cache,
     _layer_forward,
     _step_inputs,
     bilstm_forward,
@@ -45,7 +44,6 @@ from morbench.models.lstm import (
     bilstm_loss,
     bilstm_train,
     init_params,
-    make_workspace,
 )
 from morbench.models.mlp import init_params as mlp_init
 from morbench.models.mlp import mlp_gradients, mlp_loss, mlp_predict, mlp_train
@@ -172,16 +170,12 @@ def test_criterion_3_gradient_suite():
         U = rng.standard_normal((2, H, 4 * H)) * 0.4
         b = rng.standard_normal((2, 1, 4 * H)) * 0.2
         G = rng.standard_normal((3, 2, B, H))
-        workspace = make_workspace(init_params(np.zeros((1, D)), H, H, seed=0), 3, B)
-        cache = _layer_cache(workspace, "l1")
 
         def objective():
-            _layer_forward(_step_inputs(X), W, U, b, cache)
-            return float(np.sum(cache[-1][1:] * G))
+            return float(np.sum(_layer_forward(_step_inputs(X), W, U, b)[-1][1:] * G))
 
-        objective()
-        dX_steps = np.empty((3, 2, B, D))
-        dW, dU, db = _layer_backward(_step_inputs(X), W, U, cache, G, dX_steps)
+        cache = _layer_forward(_step_inputs(X), W, U, b)
+        dW, dU, db, dX_steps = _layer_backward(_step_inputs(X), W, U, cache, G, True)
         dX = dX_steps[:, 0] + dX_steps[::-1, 1]  # each position's two gradients
         for analytic, array in ((dX, X), (dW, W), (dU, U), (db, b)):
             numeric = _central_diff(objective, array)

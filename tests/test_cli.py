@@ -165,11 +165,19 @@ def test_report_rerenders_identical_tables(workspace):
     assert (rerender / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
 
 
+def _fold_row(**changes) -> str:
+    row = {"morbidity": "Gout", "representation": "tfidf_svm", "fold": 0, "f1": 0.5}
+    return json.dumps({**row, "tp": 1, "fp": 0, "fn": 1, "tn": 2, **changes}) + "\n"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
         ('{"morbidity": "Gout", "representation": "tfidf_svm", "skipped": "x"}\n{"f1": 0.5\n', "line 2"),
         ('{"morbidity": "Gout", "representation": "tfidf_svm", "fold": 0, "f1": 0.5}\n', "line 1"),
+        (_fold_row(f1="x"), "line 1: bad raw row (f1 'x'"),
+        (_fold_row() + _fold_row(morbidity=5), "line 2: bad raw row (morbidity 5"),
+        (_fold_row(representation="nope"), "unknown representation 'nope'"),
         ("", "holds no result rows"),
         ("\n\n", "holds no result rows"),
     ],

@@ -13,7 +13,6 @@ from morbench.models.lstm import (
     BiLstmModel,
     _forward,
     _layer_backward,
-    _layer_cache,
     _layer_forward,
     _step_inputs,
     bilstm_forward,
@@ -21,7 +20,6 @@ from morbench.models.lstm import (
     bilstm_loss,
     bilstm_train,
     init_params,
-    make_workspace,
 )
 from morbench.preprocess import EncodedDoc
 
@@ -63,11 +61,8 @@ def _time_major(X):
 
 
 def _layer_states(Xtm, W, U, b):
-    """Run _layer_forward in a fresh cache; returns (states (T, 2, B, H), cache)."""
-    T, B, D = Xtm.shape
-    H = U.shape[1]
-    cache = _layer_cache(make_workspace(init_params(np.zeros((1, D)), H, H, seed=0), T, B), "l1")
-    _layer_forward(_step_inputs(Xtm), W, U, b, cache)
+    """Run _layer_forward; returns (states (T, 2, B, H), cache)."""
+    cache = _layer_forward(_step_inputs(Xtm), W, U, b)
     return cache[-1][1:], cache
 
 
@@ -120,8 +115,7 @@ def _check_layer_backward(last_only):
         return float(np.sum((states[-1] if last_only else states) * G))
 
     _, cache = _layer_states(Xtm, W, U, b)
-    dX_steps = np.empty((T, 2, B, D))
-    dW, dU, db = _layer_backward(_step_inputs(Xtm), W, U, cache, G, dX_steps)
+    dW, dU, db, dX_steps = _layer_backward(_step_inputs(Xtm), W, U, cache, G, True)
     dX = dX_steps[:, 0] + dX_steps[::-1, 1]  # each position's two gradients
 
     step = 1e-5
@@ -294,28 +288,13 @@ def test_stacked_recurrence_is_bit_identical_to_per_direction_loop(B, T, train_e
     y = rng.integers(0, 2, size=B).astype(float)
     ref_loss, ref_grads, ref_z = _reference_gradients(params, batch_idx, y, train_embeddings)
 
-    # a workspace sized for the largest batch serves this one through views
-    shared = make_workspace(params, T, 32, train_embeddings)
-    for workspace in (None, shared, shared):
-        loss, grads = bilstm_gradients(params, batch_idx, y, train_embeddings, workspace=workspace)
-        assert loss == ref_loss
-        assert sorted(grads) == sorted(ref_grads)
-        for name, value in ref_grads.items():
-            assert np.array_equal(grads[name], value), name
-    z, _, _ = _forward(params, batch_idx, make_workspace(params, T, B))
+    loss, grads = bilstm_gradients(params, batch_idx, y, train_embeddings)
+    assert loss == ref_loss
+    assert sorted(grads) == sorted(ref_grads)
+    for name, value in ref_grads.items():
+        assert np.array_equal(grads[name], value), name
+    z, _, _ = _forward(params, batch_idx)
     assert np.array_equal(z, ref_z)
-
-
-def test_workspace_that_cannot_hold_the_batch_is_rejected():
-    params = _tiny_model_params()
-    batch_idx = np.array([[1, 2, 3], [4, 5, 6]])
-    y = np.array([1.0, 0.0])
-    with pytest.raises(ValueError, match="cannot hold"):
-        bilstm_gradients(params, batch_idx, y, False, workspace=make_workspace(params, 3, 1))
-    with pytest.raises(ValueError, match="cannot hold"):
-        bilstm_gradients(params, batch_idx, y, False, workspace=make_workspace(params, 4, 2))
-    with pytest.raises(ValueError, match="embedding gradient"):
-        bilstm_gradients(params, batch_idx, y, True, workspace=make_workspace(params, 3, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +357,7 @@ def test_all_padding_batch_passes_dense_bias_through():
         if key.startswith(("l1", "l2")):
             params[key][:] = 0.0
     params["dense.b"][:] = 0.7
-    z, _, _ = _forward(params, np.zeros((3, 5), dtype=np.intp), make_workspace(params, 5, 3))
+    z, _, _ = _forward(params, np.zeros((3, 5), dtype=np.intp))
     np.testing.assert_allclose(z, 0.7, rtol=1e-15)
 
 
@@ -491,15 +470,15 @@ def test_embedding_property_wraps_current_rows():
 
 
 def test_module_holds_no_arrays_after_training(monkeypatch):
-    """The workspace lives for one training run; nothing stays behind in the module."""
+    """Each layer's cache lives for one call; nothing stays behind in the module."""
     made = []
 
-    def recording_make_workspace(*args, **kwargs):
-        workspace = make_workspace(*args, **kwargs)
-        made.extend(weakref.ref(array) for array in workspace.values())
-        return workspace
+    def recording_layer_forward(*args):
+        cache = _layer_forward(*args)
+        made.extend(weakref.ref(array) for array in cache)
+        return cache
 
-    monkeypatch.setattr(lstm, "make_workspace", recording_make_workspace)
+    monkeypatch.setattr(lstm, "_layer_forward", recording_layer_forward)
     X, y = _keyword_task(n=12)
     model = bilstm_train(X, y, random_table(11, 4, seed=0), BiLstmConfig(4, 3, 2, 5), seed=0)
     assert made and model.params

@@ -3,9 +3,18 @@
 import pytest
 
 from morbench.embeddings import random_table
-from morbench.models.lstm import BiLstmConfig, bilstm_train
+from morbench.models import predictor
+from morbench.models.lstm import BiLstmConfig, bilstm_forward, bilstm_train
 from morbench.models.mlp import mlp_train
-from morbench.models.predictor import KINDS, PredictorHandle, predict, tfidf_matrix
+from morbench.models.predictor import (
+    BILSTM_SCORE_BATCH,
+    KINDS,
+    PredictorHandle,
+    index_matrix,
+    predict,
+    predict_batch,
+    tfidf_matrix,
+)
 from morbench.models.rmsprop import RmspropConfig
 from morbench.models.svm import svm_train
 from morbench.preprocess import (
@@ -84,7 +93,7 @@ def test_bilstm_kind_requires_sequence_pieces():
         PredictorHandle(kind="bilstm", morbidity="Gout", model=None)
 
 
-def test_bilstm_handle_flags_marker_documents():
+def _bilstm_handle():
     texts = [
         "markergout present with swelling and pain",
         "markergout confirmed on exam today",
@@ -106,8 +115,29 @@ def test_bilstm_handle_flags_marker_documents():
         BiLstmConfig(hidden1=8, hidden2=8, epochs=60, batch_size=3, train_embeddings=True),
         seed=0,
     )
-    handle = PredictorHandle(
+    return PredictorHandle(
         kind="bilstm", morbidity="Gout", model=model, vocab=vocab, length_policy=policy
     )
+
+
+def test_bilstm_handle_flags_marker_documents():
+    handle = _bilstm_handle()
     assert predict(handle, "markergout noted with pain", "Gout") == 1
     assert predict(handle, "stable and doing well today", "Gout") == 0
+
+
+def test_bilstm_batch_is_scored_in_bounded_slices(monkeypatch):
+    handle = _bilstm_handle()
+    texts = ["markergout noted with pain", "stable and doing well today", "exam today"]
+    token_lists = [tokenize(normalize_text(t)) for t in texts] * 24  # 72 notes
+    sizes = []
+
+    def recording_forward(X, model):
+        sizes.append(len(X))
+        return bilstm_forward(X, model)
+
+    monkeypatch.setattr(predictor, "bilstm_forward", recording_forward)
+    labels = predict_batch(handle, token_lists)
+    assert BILSTM_SCORE_BATCH == 32 and sizes == [32, 32, 8]
+    X = index_matrix(token_lists, handle.vocab, handle.length_policy)
+    assert labels.tolist() == (bilstm_forward(X, handle.model) >= 0.5).astype(int).tolist()

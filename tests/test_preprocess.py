@@ -95,12 +95,6 @@ def test_pad_truncate():
     assert exact.indices == (9, 9, 9, 9)
 
 
-def test_vocabulary_decode_skips_padding():
-    vocab = build_vocabulary([["alpha", "beta"]])
-    doc = pad_truncate(encode(["alpha", "beta"], vocab), compute_max_len([4]))
-    assert vocab.decode(doc.indices) == ["alpha", "beta"]
-
-
 def test_stopword_list_loads():
     stop = load_stopwords()
     assert "the" in stop and "of" in stop and "not" in stop

@@ -1,6 +1,7 @@
 """Round-trip and corruption tests for the binary model format."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +68,22 @@ def test_bilstm_round_trip_bit_exact(tmp_path):
 def test_save_rejects_unknown_objects(tmp_path):
     with pytest.raises(ValueError, match="serialize"):
         save_model({"not": "a model"}, tmp_path / "m.bin")
+
+
+def test_failed_save_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "m.bin"
+    save_model(_svm_model(), path)
+
+    def write_half_then_fail(self, data):
+        with open(self, "wb") as fh:
+            fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+    with pytest.raises(OSError, match="No space"):
+        save_model(_mlp_model(), path)
+    assert isinstance(load_model(path), SvmModel)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.bin"]
 
 
 def test_load_rejects_bad_magic(tmp_path):
