@@ -607,7 +607,9 @@ def report_from_raw_rows(lines, where: str) -> ExperimentReport:
     Representations appear in their canonical order and morbidities as
     order_morbidities sorts them; a cell with no row renders as n/a. A row
     with a missing key, a value of the wrong type or an unknown
-    representation raises ConfigError; ``where`` names the source in it.
+    representation raises ConfigError; so does a row that repeats a fold, a
+    second skipped row for a cell, and a cell with both fold rows and a
+    skipped row. ``where`` names the source in it.
     """
     folds: dict[tuple[str, str], list[FoldResult]] = {}
     skipped: dict[tuple[str, str], str] = {}
@@ -621,13 +623,20 @@ def report_from_raw_rows(lines, where: str) -> ExperimentReport:
                 raise ValueError(f"morbidity {key[0]!r} is not a non-empty string")
             if key[1] not in REPRESENTATIONS:
                 raise ValueError(f"unknown representation {key[1]!r}")
+            cell = f"{key[0]}/{key[1]}"
+            if key in skipped:
+                raise ValueError(f"{cell} already has a skipped row")
             if "skipped" in row:
                 if not isinstance(row["skipped"], str):
                     raise ValueError(f"skipped {row['skipped']!r} is not a string")
+                if key in folds:
+                    raise ValueError(f"{cell} already has fold rows")
                 skipped[key] = row["skipped"]
             else:
                 fold = FoldResult(**{f.name: row[f.name] for f in fields(FoldResult)})
                 _check_fold_result(fold)
+                if any(f.fold == fold.fold for f in folds.get(key, ())):
+                    raise ValueError(f"{cell} already has fold {fold.fold}")
                 folds.setdefault(key, []).append(fold)
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{where} line {lineno}: bad raw row ({exc})") from exc

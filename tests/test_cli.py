@@ -170,6 +170,10 @@ def _fold_row(**changes) -> str:
     return json.dumps({**row, "tp": 1, "fp": 0, "fn": 1, "tn": 2, **changes}) + "\n"
 
 
+def _skip_row() -> str:
+    return json.dumps({"morbidity": "Gout", "representation": "tfidf_svm", "skipped": "x"}) + "\n"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -178,6 +182,13 @@ def _fold_row(**changes) -> str:
         (_fold_row(f1="x"), "line 1: bad raw row (f1 'x'"),
         (_fold_row() + _fold_row(morbidity=5), "line 2: bad raw row (morbidity 5"),
         (_fold_row(representation="nope"), "unknown representation 'nope'"),
+        (
+            _fold_row(f1=0.5) + _fold_row(f1=0.9),
+            "line 2: bad raw row (Gout/tfidf_svm already has fold 0)",
+        ),
+        (_fold_row() + _skip_row(), "line 2: bad raw row (Gout/tfidf_svm already has fold rows)"),
+        (_skip_row() + _fold_row(), "line 2: bad raw row (Gout/tfidf_svm already has a skipped"),
+        (_skip_row() + _skip_row(), "line 2: bad raw row (Gout/tfidf_svm already has a skipped"),
         ("", "holds no result rows"),
         ("\n\n", "holds no result rows"),
     ],

@@ -1,9 +1,13 @@
 """Skip-gram trainer, the vector-file loader, and embedding tables."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morbench.embeddings import (
     SkipgramConfig,
@@ -311,3 +315,97 @@ def test_load_non_utf8_file_names_path(tmp_path):
     with pytest.raises(VectorFileError, match="latin1.txt.*UTF-8"):
         load_pretrained(path, build_vocabulary([["word"]]), dim=2)
 
+
+
+def _reference_load(path, vocab, dim):
+    """Reference loader: every line is split on single spaces and checked, and
+    only then dropped if its word is not in the vocabulary."""
+    rows = np.zeros((len(vocab) + 1, dim))
+    found = set()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                parts = [p for p in line.rstrip("\n").split(" ") if p]
+                if not parts:
+                    continue
+                if lineno == 1 and len(parts) == 2:
+                    try:
+                        int(parts[0]), int(parts[1])
+                        continue
+                    except ValueError:
+                        pass
+                word, values = parts[0], parts[1:]
+                if len(values) != dim:
+                    raise VectorFileError(
+                        f"{path}: line {lineno}: expected {dim} values, found {len(values)}"
+                    )
+                if word not in vocab:
+                    continue
+                try:
+                    vector = np.array([float(v) for v in values])
+                except ValueError as exc:
+                    raise VectorFileError(f"{path}: line {lineno}: bad float ({exc})") from exc
+                if not np.all(np.isfinite(vector)):
+                    raise VectorFileError(f"{path}: line {lineno}: non-finite value")
+                rows[vocab[word]] = vector
+                found.add(word)
+    except OSError as exc:
+        raise VectorFileError(f"{path}: cannot read vector file ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise VectorFileError(f"{path}: vector file is not UTF-8 ({exc.reason})") from exc
+    return rows, len(vocab) - len(found)
+
+
+_KNOWN = ["cat", "dog", "3", "t\tab"]
+_WORDS = _KNOWN + ["zz", "7", "1", "q\tr", "é"]
+_VALUES = ["1.5", "-2", "0", "3", "1e3", "7.25\t", "nan", "inf", "oops", "1,0"]
+
+
+@st.composite
+def _vector_line(draw, dim):
+    """One line: a word and about dim values, irregularly spaced at times."""
+    fields = [draw(st.sampled_from(_WORDS))]
+    count = draw(st.sampled_from([dim] * 4 + [dim - 1, dim + 1]))
+    fields += draw(st.lists(st.sampled_from(_VALUES), min_size=count, max_size=count))
+    n_gaps = len(fields) - 1
+    gaps = draw(st.lists(st.sampled_from([" ", " ", " ", "  "]), min_size=n_gaps, max_size=n_gaps))
+    line = fields[0] + "".join(g + f for g, f in zip(gaps, fields[1:]))
+    lead = draw(st.sampled_from(["", "", "", " "]))
+    trail = draw(st.sampled_from(["", "", " ", "  "]))
+    return lead + line + trail
+
+
+@st.composite
+def _vector_file(draw):
+    """A small vector file mixing regular, irregular, header-like and bad lines."""
+    dim = draw(st.integers(1, 3))
+    line = st.one_of(_vector_line(dim), st.sampled_from(["", " ", f"2 {dim}", "3 1", "7 2 1"]))
+    lines = draw(st.lists(line, min_size=1, max_size=8))
+    if draw(st.booleans()):  # a header-like first line
+        lines.insert(0, draw(st.sampled_from([f"5 {dim}", "3 1", "3 x", " 4 2", "4 2 "])))
+    if draw(st.booleans()):  # finite values only, so parsing runs past known words
+        bad = {"nan", "inf", "oops", "1,0"}
+        lines = [" ".join(w for w in ln.split(" ") if w not in bad) for ln in lines]
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ending.join(lines) + draw(st.sampled_from([ending, ""]))
+    return dim, text
+
+
+@settings(max_examples=400)
+@given(_vector_file(), st.lists(st.sampled_from(_KNOWN), min_size=1, max_size=4))
+def test_load_matches_split_every_line_reference(case, vocab_words):
+    dim, text = case
+    vocab = build_vocabulary([vocab_words + ["missing"]])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vec.txt"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            want = _reference_load(path, vocab, dim)
+        except VectorFileError as exc:
+            with pytest.raises(VectorFileError) as got:
+                load_pretrained(path, vocab, dim)
+            assert str(got.value) == str(exc)
+            return
+        table, oov = load_pretrained(path, vocab, dim)
+    assert table.rows.tobytes() == want[0].tobytes()
+    assert oov == want[1]
