@@ -8,7 +8,7 @@ Subcommands:
     report            re-render report tables from a raw.jsonl file
 
 Relative --out paths resolve against $MORBENCH_DATA_DIR when it is set.
-Exit codes: 0 success, 1 internal error, 2 bad input or configuration.
+Exit codes: 0 success, 1 internal error, 2 bad input, configuration or output path.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import multiprocessing
 import os
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -48,22 +49,47 @@ from morbench.eval import (
     report_from_raw_rows,
     run_experiment,
 )
+from morbench.files import replace_atomically
 from morbench.preprocess import build_vocabulary, normalize_text, tokenize
-
-
-def _data_dir() -> Path:
-    return Path(os.environ.get("MORBENCH_DATA_DIR", "."))
 
 
 def _resolve_out(path: str) -> Path:
     p = Path(path)
-    return p if p.is_absolute() else _data_dir() / p
+    return p if p.is_absolute() else Path(os.environ.get("MORBENCH_DATA_DIR", ".")) / p
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def _make_dir(path: Path) -> Path:
+    """path, created with its parents; one that cannot be made raises ConfigError naming it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create directory {path} ({exc.strerror})") from exc
+    return path
+
+
+def _read_text(path: str, what: str) -> str:
+    """The text of a UTF-8 input file; one that cannot be read raises ConfigError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path} ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 ({exc.reason})") from exc
+
+
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(_read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def _replace(path: Path, write) -> None:
+    """Replace path atomically through write(tmp); an OSError becomes a ConfigError naming path."""
+    try:
+        replace_atomically(path, write)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path} ({exc.strerror or exc})") from exc
 
 
 def _write_files(pairs: list[tuple[Path, str]]) -> None:
@@ -71,7 +97,7 @@ def _write_files(pairs: list[tuple[Path, str]]) -> None:
     written: list[Path] = []
     try:
         for path, text in pairs:
-            _atomic_write(path, text)
+            _replace(path, lambda tmp, text=text: tmp.write_text(text, encoding="utf-8"))
             written.append(path)
     except BaseException:
         for p in written:
@@ -88,15 +114,7 @@ def _load_notes(paths: list[str]):
 
 
 def _load_config(path: str | None) -> ExperimentConfig:
-    if path is None:
-        return ExperimentConfig()
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+    return ExperimentConfig() if path is None else config_from_dict(_read_json(path, "config file"))
 
 
 def _environment() -> dict:
@@ -119,19 +137,11 @@ def _environment() -> dict:
 
 
 def cmd_synth(args) -> int:
-    try:
-        raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read spec file {args.spec}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"spec file {args.spec} is not valid JSON: {exc}") from exc
-    spec = synthetic_spec_from_dict(raw)
+    spec = synthetic_spec_from_dict(_read_json(args.spec, "spec file"))
     notes = generate_synthetic_corpus(spec, args.seed)
     out = _resolve_out(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_name(out.name + ".tmp")
-    write_corpus(notes, tmp)
-    os.replace(tmp, out)
+    _make_dir(out.parent)
+    _replace(out, lambda tmp: write_corpus(notes, tmp))
     print(f"wrote {len(notes)} notes for {len(spec.morbidities)} morbidities to {out}")
     return 0
 
@@ -140,25 +150,12 @@ def cmd_prepare(args) -> int:
     notes = _load_notes(args.corpus)
     present = sorted({m for note in notes for m in note.labels})
     morbidities = order_morbidities(set(MORBIDITIES) | set(present))
-    outdir = _resolve_out(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_dir(_resolve_out(args.out))
 
     pairs: list[tuple[Path, str]] = []
     for m in morbidities:
         dataset = build_binary_dataset(notes, m)
-        lines = [
-            json.dumps(
-                {
-                    "note_id": r.note_id,
-                    "text": r.text,
-                    "label": r.label,
-                    "source": r.source,
-                },
-                sort_keys=True,
-                ensure_ascii=False,
-            )
-            for r in dataset.records
-        ]
+        lines = [json.dumps(asdict(r), sort_keys=True, ensure_ascii=False) for r in dataset.records]
         body = "\n".join(lines) + ("\n" if lines else "")
         pairs.append((outdir / f"dataset_{_slug(m)}.jsonl", body))
 
@@ -188,10 +185,8 @@ def cmd_train_embeddings(args) -> int:
     sg = config.skipgram(args.seed)
     table, losses = train_skipgram(token_lists, vocab, sg)
     out = _resolve_out(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_name(out.name + ".tmp")
-    save_vectors(table, vocab, tmp)
-    os.replace(tmp, out)
+    _make_dir(out.parent)
+    _replace(out, lambda tmp: save_vectors(table, vocab, tmp))
     final = f"{losses[-1]:.6f}" if losses else "n/a"
     print(
         f"trained {len(vocab)} x {sg.dim} vectors over {sg.epochs} epochs"
@@ -220,8 +215,7 @@ def cmd_run(args) -> int:
     datasets = {m: build_binary_dataset(notes, m) for m in names}
     report = run_experiment(datasets, config, args.seed, jobs=args.jobs)
 
-    outdir = _resolve_out(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_dir(_resolve_out(args.out))
     markdown = render_report_markdown(report)
     manifest = {
         "version": __version__,
@@ -256,14 +250,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        text = Path(args.raw).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {args.raw}: {exc}") from exc
-    report = report_from_raw_rows(text.splitlines(), args.raw)
+    report = report_from_raw_rows(_read_text(args.raw, "raw file").splitlines(), args.raw)
     markdown = render_report_markdown(report)
-    outdir = _resolve_out(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_dir(_resolve_out(args.out))
     _write_files(
         [
             (outdir / "report.md", markdown),

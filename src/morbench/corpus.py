@@ -132,24 +132,29 @@ def _parse_note(line: str, lineno: int) -> ClinicalNote:
 
 
 def load_corpus(path: str | Path) -> list[ClinicalNote]:
-    """Load a JSON-Lines corpus, validating ids and label symbols."""
-    path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"corpus file not found: {path}")
+    """Load a JSON-Lines corpus, validating ids and label symbols.
+
+    A file that cannot be read or is not UTF-8 raises CorpusError naming the path.
+    """
     notes: list[ClinicalNote] = []
     seen: dict[str, int] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            note = _parse_note(line, lineno)
-            if note.id in seen:
-                raise CorpusError(
-                    f"duplicate note id {note.id!r} on lines {seen[note.id]} and {lineno}"
-                )
-            seen[note.id] = lineno
-            notes.append(note)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                note = _parse_note(line, lineno)
+                if note.id in seen:
+                    raise CorpusError(
+                        f"duplicate note id {note.id!r} on lines {seen[note.id]} and {lineno}"
+                    )
+                seen[note.id] = lineno
+                notes.append(note)
+    except OSError as exc:
+        raise CorpusError(f"cannot read corpus file {path} ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"corpus file {path} is not UTF-8 ({exc.reason})") from exc
     return notes
 
 
@@ -260,36 +265,37 @@ class SyntheticSpec:
     max_tokens: int = 40
 
 
-def synthetic_spec_from_dict(obj: dict) -> SyntheticSpec:
+_SPEC_DEFAULTS = {"morbidities": {}, "noise_vocab_size": 300, "min_tokens": 20, "max_tokens": 40}
+_MORBIDITY_DEFAULTS = {"positives": 0, "negatives": 0, "marker": True, "marker_repeats": 1}
+_SPEC_TYPE_NAMES = {dict: "an object", int: "an integer", bool: "true or false"}
+
+
+def _spec_values(obj, defaults: dict, where: str) -> dict:
+    """obj's settings over the defaults; an unknown key, or a value of another
+    type than its default (true is not an integer), raises ConfigError naming it."""
     if not isinstance(obj, dict):
-        raise ConfigError("synthetic spec must be a JSON object")
-    raw_morbidities = obj.get("morbidities", {})
-    if not isinstance(raw_morbidities, dict):
-        raise ConfigError("'morbidities' must be an object")
+        raise ConfigError(f"{where} must be a JSON object")
+    for key, value in obj.items():
+        if key not in defaults:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+        if type(value) is not type(defaults[key]):
+            kind = _SPEC_TYPE_NAMES[type(defaults[key])]
+            raise ConfigError(f"{where} key {key!r} must be {kind}, got {value!r}")
+    return {**defaults, **obj}
+
+
+def synthetic_spec_from_dict(obj: dict) -> SyntheticSpec:
+    """A SyntheticSpec from its JSON form, checked as strictly as a config file."""
+    values = _spec_values(obj, _SPEC_DEFAULTS, "synthetic spec")
     morbidities = {}
-    for name, entry in raw_morbidities.items():
-        if not isinstance(entry, dict):
-            raise ConfigError(f"morbidity spec for {name!r} must be an object")
-        try:
-            spec = MorbiditySpec(
-                positives=int(entry.get("positives", 0)),
-                negatives=int(entry.get("negatives", 0)),
-                marker=bool(entry.get("marker", True)),
-                marker_repeats=int(entry.get("marker_repeats", 1)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad counts for morbidity {name!r}: {exc}") from exc
+    for name, entry in values["morbidities"].items():
+        spec = MorbiditySpec(**_spec_values(entry, _MORBIDITY_DEFAULTS, f"spec of {name!r}"))
         if spec.positives < 0 or spec.negatives < 0:
             raise ConfigError(f"negative counts for morbidity {name!r}")
         if spec.marker_repeats < 1:
             raise ConfigError(f"marker_repeats for morbidity {name!r} must be >= 1")
         morbidities[name] = spec
-    spec = SyntheticSpec(
-        morbidities=morbidities,
-        noise_vocab_size=int(obj.get("noise_vocab_size", 300)),
-        min_tokens=int(obj.get("min_tokens", 20)),
-        max_tokens=int(obj.get("max_tokens", 40)),
-    )
+    spec = SyntheticSpec(**{**values, "morbidities": morbidities})
     if spec.noise_vocab_size < 1:
         raise ConfigError("noise_vocab_size must be >= 1")
     if not 1 <= spec.min_tokens <= spec.max_tokens:

@@ -67,14 +67,15 @@ def load_pretrained(path, vocab: Vocabulary, dim: int) -> tuple[EmbeddingTable, 
     """Fill an embedding table from a text vector file.
 
     Vocabulary words absent from the file keep the zero vector; the number of
-    such words is returned alongside the table. A file that cannot be read or
-    is not UTF-8 raises VectorFileError naming the path.
+    such words is returned alongside the table. A leading UTF-8 byte-order
+    mark is skipped. A file that cannot be read or is not UTF-8 raises
+    VectorFileError naming the path.
     """
     rows = np.zeros((len(vocab) + 1, dim))
     found = set()
     index = vocab.index
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 # An unknown word on a regularly spaced line is dropped here:
                 # split(" ") would give it exactly dim values, so the checks

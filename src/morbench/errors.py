@@ -20,4 +20,4 @@ class VectorFileError(MorbenchError):
 
 
 class ConfigError(MorbenchError):
-    """Invalid configuration value or file."""
+    """Invalid configuration value, unreadable input file or unwritable output path."""

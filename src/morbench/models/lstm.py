@@ -42,11 +42,7 @@ import numpy as np
 
 from morbench.embeddings import EmbeddingTable
 from morbench.models.rmsprop import Params, RmspropConfig, RmspropState, rmsprop_step
-from morbench.preprocess import EncodedDoc
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+from morbench.models.training import checked_labels, mean_bce, minibatches, sigmoid
 
 
 def _stacked(params: Params, layer: str):
@@ -155,10 +151,6 @@ class BiLstmModel:
     hidden2: int
     embed_trainable: bool
 
-    @property
-    def embedding(self) -> EmbeddingTable:
-        return EmbeddingTable(rows=self.params["embedding"])
-
 
 def _glorot(rng, shape):
     limit = np.sqrt(6.0 / (shape[0] + shape[1]))
@@ -187,6 +179,8 @@ def init_params(embedding: np.ndarray, hidden1: int, hidden2: int, seed: int) ->
 
 def _forward(params: Params, batch_idx: np.ndarray):
     """Logits, the dense layer's input and, per layer, (steps, W, U, cache)."""
+    if batch_idx.ndim != 2:
+        raise ValueError(f"need a 2-D index matrix, got shape {batch_idx.shape}")
     T = batch_idx.shape[1]
     steps1 = _step_inputs(params["embedding"][batch_idx.T])  # embedded batch, (T, B, D)
     W1, U1, b1 = _stacked(params, "l1")
@@ -206,45 +200,27 @@ def _forward(params: Params, batch_idx: np.ndarray):
     return z, summary, ((steps1, W1, U1, cache1), (steps2, W2, U2, cache2))
 
 
-def bilstm_forward(encoded_batch, model: BiLstmModel) -> np.ndarray:
-    """Probabilities in (0,1), one per document."""
-    z, _, _ = _forward(model.params, _as_index_batch(encoded_batch))
-    return _sigmoid(z)
-
-
-def _as_index_batch(encoded_batch) -> np.ndarray:
-    if isinstance(encoded_batch, np.ndarray):
-        return encoded_batch.astype(np.intp)
-    rows = []
-    for doc in encoded_batch:
-        rows.append(doc.indices if isinstance(doc, EncodedDoc) else tuple(doc))
-    lengths = {len(r) for r in rows}
-    if len(lengths) > 1:
-        raise ValueError(f"all sequences must share one length, got {sorted(lengths)}")
-    return np.array(rows, dtype=np.intp)
-
-
-def _mean_bce(z: np.ndarray, y: np.ndarray) -> float:
-    softplus = np.where(z > 0, z + np.log1p(np.exp(-z)), np.log1p(np.exp(z)))
-    return float(np.mean(softplus - y * z))
+def bilstm_forward(batch_idx, model: BiLstmModel) -> np.ndarray:
+    """Probabilities in (0,1), one per row of a (documents x length) index matrix."""
+    z, _, _ = _forward(model.params, np.asarray(batch_idx, dtype=np.intp))
+    return sigmoid(z)
 
 
 def bilstm_loss(params: Params, batch_idx: np.ndarray, y: np.ndarray) -> float:
-    z, _, _ = _forward(params, batch_idx)
-    return _mean_bce(z, y)
+    """Mean binary cross-entropy of the batch."""
+    return mean_bce(_forward(params, batch_idx)[0], y)
 
 
 def bilstm_gradients(
     params: Params, batch_idx: np.ndarray, y: np.ndarray, train_embeddings: bool
-) -> tuple[float, Params]:
-    """Mean BCE loss and gradients for every trainable parameter."""
+) -> Params:
+    """Gradients of bilstm_loss for every trainable parameter."""
     B = batch_idx.shape[0]
     z, summary, (layer1_in, layer2_in) = _forward(params, batch_idx)
-    prob = _sigmoid(z)
     H1 = params["l1f.U"].shape[0]
     H2 = params["l2f.U"].shape[0]
 
-    dz = (prob - y) / B  # (B,)
+    dz = (sigmoid(z) - y) / B  # (B,)
     grads: Params = {
         "dense.W": summary.T @ dz[:, None],
         "dense.b": np.array([dz.sum()]),
@@ -274,38 +250,26 @@ def bilstm_gradients(
         np.add.at(demb_table, batch_idx, demb.transpose(1, 0, 2))
         demb_table[0] = 0.0  # padding row stays zero
         grads["embedding"] = demb_table
-
-    return _mean_bce(z, y), grads
+    return grads
 
 
 def bilstm_train(
-    encoded_docs,
+    batch_idx,
     labels,
     table: EmbeddingTable,
     config: BiLstmConfig | None = None,
     seed: int = 0,
 ) -> BiLstmModel:
-    """Train on padded index sequences; the input table itself is never touched."""
+    """Train on a (documents x length) index matrix; the input table is never touched."""
     config = config or BiLstmConfig()
-    batch_idx = _as_index_batch(encoded_docs)
-    y = np.asarray(labels, dtype=float)
-    if batch_idx.shape[0] != y.shape[0]:
-        raise ValueError("document/label count mismatch")
-    if len(set(y.tolist())) < 2:
-        raise ValueError("training requires both classes present")
-
+    X = np.asarray(batch_idx, dtype=np.intp)
+    y = checked_labels(X.shape[0], labels, float)
     params = init_params(table.rows, config.hidden1, config.hidden2, seed)
     trainable = {k: v for k, v in params.items() if config.train_embeddings or k != "embedding"}
     state = RmspropState.fresh(trainable, config.rmsprop)
-
-    rng = np.random.default_rng(seed + 1)
-    n = batch_idx.shape[0]
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            _, grads = bilstm_gradients(params, batch_idx[batch], y[batch], config.train_embeddings)
-            rmsprop_step(params, grads, state)
+    for batch in minibatches(X.shape[0], config.batch_size, config.epochs, seed):
+        grads = bilstm_gradients(params, X[batch], y[batch], config.train_embeddings)
+        rmsprop_step(params, grads, state)
     return BiLstmModel(
         params=params,
         hidden1=config.hidden1,

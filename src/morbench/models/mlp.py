@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from morbench.models.rmsprop import Params, RmspropConfig, RmspropState, rmsprop_step
+from morbench.models.training import checked_labels, mean_bce, minibatches, sigmoid
 
 
 @dataclass
@@ -38,32 +39,23 @@ def _logits(params: Params, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def mlp_forward(params: Params, X) -> np.ndarray:
     """Probabilities in (0,1), one per row."""
     z, _ = _logits(params, np.atleast_2d(np.asarray(X, dtype=float)))
-    return 1.0 / (1.0 + np.exp(-z))
+    return sigmoid(z)
 
 
 def mlp_loss(params: Params, X: np.ndarray, y: np.ndarray) -> float:
     """Mean binary cross-entropy, computed from logits for stability."""
-    z, _ = _logits(params, X)
-    # softplus(z) - y*z == -[y*log(p) + (1-y)*log(1-p)]
-    softplus = np.where(z > 0, z + np.log1p(np.exp(-z)), np.log1p(np.exp(z)))
-    return float(np.mean(softplus - y * z))
+    return mean_bce(_logits(params, X)[0], y)
 
 
-def mlp_gradients(params: Params, X: np.ndarray, y: np.ndarray) -> tuple[float, Params]:
+def mlp_gradients(params: Params, X: np.ndarray, y: np.ndarray) -> Params:
+    """Gradients of mlp_loss for every parameter."""
     z, hidden = _logits(params, X)
-    prob = 1.0 / (1.0 + np.exp(-z))
-    n = X.shape[0]
-    dz = (prob - y)[:, None] / n  # (n,1)
-    grads = {
-        "W2": hidden.T @ dz,
-        "b2": dz.sum(axis=0),
-    }
+    dz = (sigmoid(z) - y)[:, None] / X.shape[0]  # (n,1)
     dhidden = dz @ params["W2"].T
     dhidden[hidden <= 0.0] = 0.0
-    grads["W1"] = X.T @ dhidden
-    grads["b1"] = dhidden.sum(axis=0)
-    softplus = np.where(z > 0, z + np.log1p(np.exp(-z)), np.log1p(np.exp(z)))
-    return float(np.mean(softplus - y * z)), grads
+    return {
+        "W2": hidden.T @ dz, "b2": dz.sum(axis=0), "W1": X.T @ dhidden, "b1": dhidden.sum(axis=0)
+    }
 
 
 def mlp_train(
@@ -77,26 +69,9 @@ def mlp_train(
 ) -> MlpModel:
     """Mini-batch backprop training; deterministic per seed."""
     X = np.asarray(rows, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("row/label count mismatch")
-    if len(set(y.tolist())) < 2:
-        raise ValueError("training requires both classes present")
-
+    y = checked_labels(X.shape[0], labels, float)
     params = init_params(X.shape[1], hidden_size, seed)
     state = RmspropState.fresh(params, rmsprop or RmspropConfig())
-    rng = np.random.default_rng(seed + 1)
-    n = X.shape[0]
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
-            _, grads = mlp_gradients(params, X[batch], y[batch])
-            rmsprop_step(params, grads, state)
+    for batch in minibatches(X.shape[0], batch_size, epochs, seed):
+        rmsprop_step(params, mlp_gradients(params, X[batch], y[batch]), state)
     return MlpModel(params=params, hidden_size=hidden_size)
-
-
-def mlp_predict(model: MlpModel, row) -> int:
-    """1 iff the predicted probability is >= 0.5."""
-    prob = mlp_forward(model.params, np.atleast_2d(np.asarray(row, dtype=float)))[0]
-    return 1 if prob >= 0.5 else 0

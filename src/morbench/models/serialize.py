@@ -15,12 +15,12 @@ metadata goes through JSON repr, which is lossless for finite doubles.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from morbench.files import replace_atomically
 from morbench.models.lstm import BiLstmModel
 from morbench.models.lstm import init_params as lstm_init_params
 from morbench.models.mlp import MlpModel
@@ -63,14 +63,7 @@ def save_model(model, path: str | Path) -> None:
         blob = _pack("bilstm", meta, model.params)
     else:
         raise ValueError(f"cannot serialize object of type {type(model).__name__}")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_bytes(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    replace_atomically(path, lambda tmp: tmp.write_bytes(blob))
 
 
 def _check_header(path, header) -> None:

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from morbench.models.training import checked_labels
+
 
 @dataclass
 class SvmModel:
@@ -19,22 +21,10 @@ class SvmModel:
     lam: float
 
 
-def hinge_objective(model: SvmModel, X: np.ndarray, y_signed: np.ndarray) -> float:
-    """Full-batch regularized objective; used as the training progress oracle."""
-    margins = y_signed * (X @ model.weights + model.bias)
-    hinge = np.maximum(0.0, 1.0 - margins).mean()
-    reg = 0.5 * model.lam * (model.weights @ model.weights + model.bias**2)
-    return float(reg + hinge)
-
-
 def svm_train(rows, labels, lam: float = 1e-4, epochs: int = 50, seed: int = 0) -> SvmModel:
     """Pegasos-style SGD over seeded per-epoch shuffles; deterministic per seed."""
     X = np.asarray(rows, dtype=float)
-    y = np.asarray(labels, dtype=int)
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("row/label count mismatch")
-    if len(set(y.tolist())) < 2:
-        raise ValueError("training requires both classes present")
+    y = checked_labels(X.shape[0], labels, int)
     y_signed = np.where(y == 1, 1.0, -1.0)
 
     rng = np.random.default_rng(seed)
@@ -62,8 +52,3 @@ def svm_decision(model: SvmModel, row) -> float:
     if x.shape != model.weights.shape:
         raise ValueError(f"feature width {x.shape} != model width {model.weights.shape}")
     return float(x @ model.weights + model.bias)
-
-
-def svm_predict(model: SvmModel, row) -> int:
-    """1 iff w.x + b >= 0 (margin ties map to 1)."""
-    return 1 if svm_decision(model, row) >= 0.0 else 0

@@ -46,16 +46,16 @@ from morbench.models.lstm import (
     init_params,
 )
 from morbench.models.mlp import init_params as mlp_init
-from morbench.models.mlp import mlp_gradients, mlp_loss, mlp_predict, mlp_train
+from morbench.models.mlp import mlp_forward, mlp_gradients, mlp_loss, mlp_train
+from morbench.models.predictor import index_matrix
 from morbench.models.rmsprop import RmspropState, rmsprop_step
-from morbench.models.svm import svm_predict, svm_train
+from morbench.models.svm import svm_decision, svm_train
 from morbench.preprocess import (
     Vocabulary,
     build_vocabulary,
     compute_max_len,
     encode,
     normalize_text,
-    pad_truncate,
     tokenize,
 )
 from morbench.tfidf import fit as tfidf_fit
@@ -155,7 +155,7 @@ def test_criterion_3_gradient_suite():
         params["b1"] += 0.05  # keep relu inputs off the kink
         X = rng.standard_normal((n, d))
         y = rng.integers(0, 2, size=n).astype(float)
-        _, analytic = mlp_gradients(params, X, y)
+        analytic = mlp_gradients(params, X, y)
         for name in params:
             numeric = _central_diff(lambda: mlp_loss(params, X, y), params[name])
             assert _rel_error(analytic[name], numeric) < 1e-5, ("mlp", trial, name)
@@ -193,7 +193,7 @@ def test_criterion_3_gradient_suite():
         params = init_params(table.rows, h1, h2, seed=trial + 1)
         batch_idx = rng.integers(1, V + 1, size=(B, T))  # row 0's gradient is pinned
         y = rng.integers(0, 2, size=B).astype(float)
-        _, analytic = bilstm_gradients(params, batch_idx, y, train_embeddings=True)
+        analytic = bilstm_gradients(params, batch_idx, y, train_embeddings=True)
         for name in params:
             numeric = _central_diff(lambda: bilstm_loss(params, batch_idx, y), params[name])
             if name == "embedding":
@@ -213,7 +213,7 @@ def test_criterion_4_learning_capability():
     y = np.array([1, 0])
     for seed in range(5):
         model = svm_train(X, y, epochs=50, seed=seed)
-        assert f1_score(y, [svm_predict(model, x) for x in X]) == 1.0, seed
+        assert f1_score(y, [int(svm_decision(model, x) >= 0) for x in X]) == 1.0, seed
 
     # (b) XOR within 2000 epochs for at least 4 of 5 seeds
     xor_x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -221,7 +221,7 @@ def test_criterion_4_learning_capability():
     solved = 0
     for seed in range(5):
         model = mlp_train(xor_x, xor_y, hidden_size=8, epochs=2000, seed=seed, batch_size=4)
-        solved += [mlp_predict(model, x) for x in xor_x] == xor_y.tolist()
+        solved += (mlp_forward(model.params, xor_x) >= 0.5).astype(int).tolist() == xor_y.tolist()
     assert solved >= 4, solved
 
     # (c) 200-document keyword task: training F1 >= 0.9 in 20 epochs, >= 4/5 seeds
@@ -236,7 +236,7 @@ def test_criterion_4_learning_capability():
     token_lists = [tokenize(normalize_text(t)) for t in dataset.texts]
     vocab = build_vocabulary(token_lists)
     policy = compute_max_len([len(t) for t in token_lists])
-    docs = [pad_truncate(encode(t, vocab), policy) for t in token_lists]
+    docs = index_matrix(token_lists, vocab, policy)
     labels = np.asarray(dataset.labels, dtype=float)
     config = BiLstmConfig(hidden1=16, hidden2=16, epochs=20, train_embeddings=True)
     reached = 0

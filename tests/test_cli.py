@@ -309,6 +309,84 @@ def test_bad_spec_json_is_a_usage_error(workspace, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "morbidity, top, key",
+    [
+        ({"positives": 2.7}, {}, "positives"),
+        ({"negatives": True}, {}, "negatives"),
+        ({"marker": "false"}, {}, "marker"),
+        ({}, {"noise_vocab_size": True}, "noise_vocab_size"),
+        ({"negativs": 3}, {}, "negativs"),
+        ({}, {"min_token": 3}, "min_token"),
+    ],
+)
+def test_bad_spec_key_or_type_is_a_usage_error(workspace, capsys, morbidity, top, key):
+    spec = {"morbidities": {"Gout": {"positives": 2, "negatives": 2, **morbidity}}, **top}
+    (workspace / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    out = workspace / "c.jsonl"
+    code = main(["synth", "--spec", str(workspace / "spec.json"), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and "internal error" not in err
+    assert list(workspace.glob("c.jsonl*")) == []
+
+
+def _non_utf8(path):
+    path.write_bytes(b'{"caf\xe9": 1}\n')
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda ws: ["run", str(_non_utf8(ws / "latin1.jsonl"))],
+        lambda ws: ["run", str(ws / "notes_dir")],
+        lambda ws: ["prepare", str(ws / "notes_dir")],
+        lambda ws: ["run", str(_synth(ws)), "--config", str(_non_utf8(ws / "latin1.json"))],
+        lambda ws: ["synth", "--spec", str(_non_utf8(ws / "latin1.json")), "--out", "x.jsonl"],
+        lambda ws: ["report", str(_non_utf8(ws / "latin1.jsonl"))],
+        lambda ws: ["report", str(ws / "notes_dir")],
+    ],
+)
+def test_unreadable_input_file_is_a_usage_error(workspace, capsys, argv):
+    (workspace / "notes_dir").mkdir()
+    args = argv(workspace)
+    out = workspace / "out"
+    assert main([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    bad = next(a for a in args if "latin1" in a or "notes_dir" in a)
+    assert bad in err and "internal error" not in err
+    assert not out.exists()
+
+
+def test_unwritable_output_is_a_usage_error_and_leaves_no_temporary(workspace, capsys):
+    corpus = _synth(workspace)
+    out = workspace / "r"
+    (out / "report.csv").mkdir(parents=True)
+    code = main(["run", str(corpus), "--config", str(workspace / "config.json"), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(out / "report.csv") in err and "internal error" not in err
+    assert sorted(p.name for p in out.iterdir()) == ["report.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda ws: ["synth", "--spec", str(ws / "spec.json"), "--out", str(ws / "afile" / "c")],
+        lambda ws: ["prepare", str(_synth(ws)), "--out", str(ws / "afile")],
+        lambda ws: [
+            "run", str(_synth(ws)), "--config", str(ws / "config.json"), "--out", str(ws / "afile")
+        ],
+    ],
+)
+def test_output_directory_that_is_a_file_is_a_usage_error(workspace, capsys, argv):
+    (workspace / "afile").write_text("", encoding="utf-8")
+    assert main(argv(workspace)) == 2
+    err = capsys.readouterr().err
+    assert str(workspace / "afile") in err and "internal error" not in err
+
+
 def test_k_below_two_is_a_usage_error(workspace, capsys):
     (workspace / "k1.json").write_text('{"eval.k": 1}', encoding="utf-8")
     corpus = _synth(workspace)

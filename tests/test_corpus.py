@@ -227,6 +227,8 @@ def test_spec_from_dict():
         {"morbidities": "nope"},
         {"noise_vocab_size": 0, "morbidities": {}},
         {"min_tokens": 5, "max_tokens": 4, "morbidities": {}},
+        {"morbidities": {"A": "nope"}},
+        [],
     ],
 )
 def test_spec_from_dict_rejects(raw):

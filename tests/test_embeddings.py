@@ -260,8 +260,8 @@ def test_load_rejects_non_finite(tmp_path):
 
 
 def test_load_spacing_and_line_ending_edges(tmp_path):
-    # words split on single spaces only: runs of spaces collapse, a lone "\r"
-    # stays on the last value, and tabs belong to the word
+    # words split on single spaces only: runs of spaces collapse and tabs
+    # belong to the word; "\r", "\n" and "\r\n" all end a line
     lines = [
         "two 5.0",  # line 1 with two fields that is not a header: a vector at dim 1
         "a  1.0",  # double space
@@ -282,6 +282,9 @@ def test_load_spacing_and_line_ending_edges(tmp_path):
         "two": 5.0, "a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0, "t\tab": 6.0, "missing": 0.0
     }
     assert oov == 1
+    path.write_bytes(b"a 1.0\rb 2.0")  # a lone "\r" between entries
+    table, oov = load_pretrained(path, vocab, dim=1)
+    assert (table.rows[vocab["a"]][0], table.rows[vocab["b"]][0], oov) == (1.0, 2.0, 5)
 
 
 def test_load_header_is_skipped_only_on_line_one(tmp_path):
@@ -301,6 +304,19 @@ def test_load_wrong_count_out_of_vocabulary_line_names_line(tmp_path):
     vocab = build_vocabulary([["ok"]])
     with pytest.raises(VectorFileError, match="line 3: expected 2 values, found 3"):
         load_pretrained(path, vocab, dim=2)
+
+
+def test_load_skips_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_bytes(b"\xef\xbb\xbf2 3\nfoo 1 2 3\nbar 4 5 6\n")
+    vocab = build_vocabulary([["foo", "bar", "baz"]])
+    table, oov = load_pretrained(path, vocab, dim=3)
+    assert table.rows[vocab["foo"]].tolist() == [1.0, 2.0, 3.0]
+    assert table.rows[vocab["bar"]].tolist() == [4.0, 5.0, 6.0]
+    assert oov == 1
+    path.write_bytes(b"\xef\xbb\xbffoo 1 2 3\n")  # no header: the mark is not part of the word
+    table, oov = load_pretrained(path, vocab, dim=3)
+    assert table.rows[vocab["foo"]].tolist() == [1.0, 2.0, 3.0]
 
 
 def test_load_missing_file_names_path(tmp_path):
@@ -323,7 +339,7 @@ def _reference_load(path, vocab, dim):
     rows = np.zeros((len(vocab) + 1, dim))
     found = set()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 parts = [p for p in line.rstrip("\n").split(" ") if p]
                 if not parts:
@@ -388,6 +404,8 @@ def _vector_file(draw):
         lines = [" ".join(w for w in ln.split(" ") if w not in bad) for ln in lines]
     ending = draw(st.sampled_from(["\n", "\r\n"]))
     text = ending.join(lines) + draw(st.sampled_from([ending, ""]))
+    if draw(st.booleans()):  # a leading UTF-8 byte-order mark
+        text = "\ufeff" + text
     return dim, text
 
 

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from morbench.embeddings import EmbeddingTable, random_table
+from morbench.embeddings import random_table
 from morbench.models import lstm
 from morbench.models.lstm import (
     BiLstmConfig,
@@ -21,7 +21,7 @@ from morbench.models.lstm import (
     bilstm_train,
     init_params,
 )
-from morbench.preprocess import EncodedDoc
+from morbench.models.rmsprop import RmspropState, rmsprop_step
 
 
 def _cell_params(d, h, rng=None, b_g=0.0):
@@ -288,8 +288,8 @@ def test_stacked_recurrence_is_bit_identical_to_per_direction_loop(B, T, train_e
     y = rng.integers(0, 2, size=B).astype(float)
     ref_loss, ref_grads, ref_z = _reference_gradients(params, batch_idx, y, train_embeddings)
 
-    loss, grads = bilstm_gradients(params, batch_idx, y, train_embeddings)
-    assert loss == ref_loss
+    grads = bilstm_gradients(params, batch_idx, y, train_embeddings)
+    assert bilstm_loss(params, batch_idx, y) == ref_loss
     assert sorted(grads) == sorted(ref_grads)
     for name, value in ref_grads.items():
         assert np.array_equal(grads[name], value), name
@@ -313,7 +313,7 @@ def test_full_gradients_match_finite_differences_including_embeddings():
     # so it is checked separately below
     batch_idx = rng.integers(1, 7, size=(2, 4))
     y = np.array([1.0, 0.0])
-    _, grads = bilstm_gradients(params, batch_idx, y, train_embeddings=True)
+    grads = bilstm_gradients(params, batch_idx, y, train_embeddings=True)
 
     step = 1e-5
     for name, value in params.items():
@@ -337,7 +337,7 @@ def test_padding_row_gradient_is_pinned_to_zero():
     params = _tiny_model_params()
     batch_idx = np.array([[0, 1, 2], [3, 0, 0]])
     y = np.array([1.0, 0.0])
-    _, grads = bilstm_gradients(params, batch_idx, y, train_embeddings=True)
+    grads = bilstm_gradients(params, batch_idx, y, train_embeddings=True)
     np.testing.assert_array_equal(grads["embedding"][0], np.zeros(3))
     assert np.any(grads["embedding"][1:] != 0.0)
 
@@ -371,15 +371,17 @@ def test_forward_rows_independent_of_batch_composition():
         assert together[row] == pytest.approx(alone[0], rel=1e-12)
 
 
-def test_forward_accepts_encoded_docs_and_rejects_ragged_batches():
+def test_forward_takes_an_index_matrix_and_rejects_other_batches():
     params = _tiny_model_params()
     model = BiLstmModel(params=params, hidden1=2, hidden2=2, embed_trainable=False)
-    docs = [EncodedDoc(indices=(1, 2, 0), original_length=2), EncodedDoc((3, 4, 5), 3)]
-    probs = bilstm_forward(docs, model)
+    probs = bilstm_forward(np.array([[1, 2, 0], [3, 4, 5]]), model)
     assert probs.shape == (2,)
     assert np.all(probs > 0) and np.all(probs < 1)
-    with pytest.raises(ValueError, match="one length"):
-        bilstm_forward([(1, 2), (3, 4, 5)], model)
+    with pytest.raises(ValueError):
+        bilstm_forward([(1, 2), (3, 4, 5)], model)  # ragged
+    for batch in (np.array([1, 2, 3]), np.ones((2, 3, 1), dtype=int)):
+        with pytest.raises(ValueError, match="2-D index matrix"):
+            bilstm_forward(batch, model)
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +464,33 @@ def test_forget_gate_bias_initialized_open():
         np.testing.assert_array_equal(b[2 * h :], np.zeros(2 * h))
 
 
-def test_embedding_property_wraps_current_rows():
-    params = _tiny_model_params()
-    model = BiLstmModel(params=params, hidden1=2, hidden2=2, embed_trainable=True)
-    assert isinstance(model.embedding, EmbeddingTable)
-    assert model.embedding.rows is params["embedding"]
+def _reference_train(X, y, table, config, seed):
+    """The per-model training loop bilstm_train ran before it shared its helpers."""
+    params = init_params(table.rows, config.hidden1, config.hidden2, seed)
+    trainable = {k: v for k, v in params.items() if config.train_embeddings or k != "embedding"}
+    state = RmspropState.fresh(trainable, config.rmsprop)
+    rng = np.random.default_rng(seed + 1)
+    n = X.shape[0]
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            grads = bilstm_gradients(params, X[batch], y[batch], config.train_embeddings)
+            rmsprop_step(params, grads, state)
+    return params
+
+
+@pytest.mark.parametrize("train_embeddings", [False, True])
+@pytest.mark.parametrize("n, batch_size", [(20, 8), (9, 9)])
+def test_training_is_bit_identical_to_reference_loop(n, batch_size, train_embeddings):
+    X, y = _keyword_task(n=n, seed=n)
+    table = random_table(11, 5, seed=n)
+    config = BiLstmConfig(3, 2, 3, batch_size, train_embeddings=train_embeddings)
+    model = bilstm_train(X, y, table, config, seed=n)
+    want = _reference_train(X, y, table, config, n)
+    assert model.params.keys() == want.keys()
+    for name, value in want.items():
+        assert np.array_equal(model.params[name], value), name
 
 
 def test_module_holds_no_arrays_after_training(monkeypatch):

@@ -8,9 +8,9 @@ from morbench.models.mlp import (
     mlp_forward,
     mlp_gradients,
     mlp_loss,
-    mlp_predict,
     mlp_train,
 )
+from morbench.models.rmsprop import RmspropConfig, RmspropState, rmsprop_step
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
@@ -75,7 +75,7 @@ def test_gradients_match_finite_differences():
         params["b1"] += 0.05
         X = rng.standard_normal((n, d))
         y = rng.integers(0, 2, size=n).astype(float)
-        _, analytic = mlp_gradients(params, X, y)
+        analytic = mlp_gradients(params, X, y)
         numeric = _fd_gradients(params, X, y)
         worst = max(_rel_error(analytic[k], numeric[k]) for k in analytic)
         if worst >= 1e-5:
@@ -96,7 +96,7 @@ def test_xor_learned_by_most_seeds():
     solved = 0
     for seed in range(5):
         model = mlp_train(XOR_X, XOR_Y, hidden_size=8, epochs=2000, seed=seed, batch_size=4)
-        preds = [mlp_predict(model, x) for x in XOR_X]
+        preds = (mlp_forward(model.params, XOR_X) >= 0.5).astype(int).tolist()
         solved += preds == XOR_Y.tolist()
     assert solved >= 4, solved
 
@@ -120,14 +120,45 @@ def test_training_is_deterministic_per_seed():
     assert any(not np.array_equal(a.params[k], c.params[k]) for k in a.params)
 
 
-def test_predict_threshold_at_half():
-    params = _zero_params(2, 3)
-    model_like = mlp_train(XOR_X, XOR_Y, hidden_size=3, epochs=0, seed=0)
-    # epoch-free training keeps the Glorot init; just exercise the threshold rule
-    assert mlp_predict(model_like, XOR_X[0]) in (0, 1)
-    # a zero network sits exactly on the boundary and maps to 1
-    model_like.params = params
-    assert mlp_predict(model_like, [1.0, 2.0]) == 1
+def _reference_gradients(params, X, y):
+    """mlp_gradients as it was before training shared its helpers."""
+    hidden = np.maximum(0.0, X @ params["W1"] + params["b1"])
+    z = (hidden @ params["W2"] + params["b2"]).ravel()
+    prob = 1.0 / (1.0 + np.exp(-z))
+    dz = (prob - y)[:, None] / X.shape[0]
+    grads = {"W2": hidden.T @ dz, "b2": dz.sum(axis=0)}
+    dhidden = dz @ params["W2"].T
+    dhidden[hidden <= 0.0] = 0.0
+    grads["W1"] = X.T @ dhidden
+    grads["b1"] = dhidden.sum(axis=0)
+    return grads
+
+
+def _reference_train(X, y, hidden_size, epochs, rmsprop, seed, batch_size):
+    """The per-model training loop mlp_train ran before it shared its helpers."""
+    params = init_params(X.shape[1], hidden_size, seed)
+    state = RmspropState.fresh(params, rmsprop)
+    rng = np.random.default_rng(seed + 1)
+    n = X.shape[0]
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            batch = order[start : start + batch_size]
+            rmsprop_step(params, _reference_gradients(params, X[batch], y[batch]), state)
+    return params
+
+
+@pytest.mark.parametrize("n, batch_size", [(40, 32), (26, 8), (7, 7)])
+def test_training_is_bit_identical_to_reference_loop(n, batch_size):
+    rng = np.random.default_rng(n)
+    X = rng.random((n, 6))
+    y = np.arange(n) % 2
+    rmsprop = RmspropConfig(learning_rate=0.01)
+    model = mlp_train(X, y, 5, 30, rmsprop, seed=n, batch_size=batch_size)
+    want = _reference_train(X, y.astype(float), 5, 30, rmsprop, n, batch_size)
+    assert model.params.keys() == want.keys()
+    for name, value in want.items():
+        assert np.array_equal(model.params[name], value), name
 
 
 def test_glorot_init_shapes_and_zero_biases():

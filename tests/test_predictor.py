@@ -1,11 +1,12 @@
 """End-to-end single-document prediction through PredictorHandle."""
 
+import numpy as np
 import pytest
 
 from morbench.embeddings import random_table
 from morbench.models import predictor
 from morbench.models.lstm import BiLstmConfig, bilstm_forward, bilstm_train
-from morbench.models.mlp import mlp_train
+from morbench.models.mlp import MlpModel, mlp_train
 from morbench.models.predictor import (
     BILSTM_SCORE_BATCH,
     KINDS,
@@ -16,15 +17,13 @@ from morbench.models.predictor import (
     tfidf_matrix,
 )
 from morbench.models.rmsprop import RmspropConfig
-from morbench.models.svm import svm_train
+from morbench.models.svm import SvmModel, svm_train
 from morbench.preprocess import (
     build_vocabulary,
     compute_max_len,
-    encode,
     filter_for_tfidf,
     load_stopwords,
     normalize_text,
-    pad_truncate,
     tokenize,
 )
 from morbench.tfidf import fit
@@ -72,6 +71,29 @@ def test_mlp_handle_classifies_seen_texts():
     assert predict(handle, "routine follow up, stable", "Gout") == 0
 
 
+def _boundary_handle(kind, model):
+    # two one-word notes: tfidf_matrix gives "a" the row [1, 0] and "b" [0, 1]
+    tf = fit([["a"], ["b"]])
+    return PredictorHandle(
+        kind=kind, morbidity="Gout", model=model, tfidf=tf, stopwords=frozenset()
+    )
+
+
+def test_svm_margin_tie_maps_to_one():
+    # w.x + b is exactly 0 for "a" and -1 for "b"
+    model = SvmModel(weights=np.array([1.0, 0.0]), bias=-1.0, lam=1e-4)
+    assert predict_batch(_boundary_handle("svm", model), [["a"], ["b"]]).tolist() == [1, 0]
+
+
+def test_mlp_probability_of_one_half_maps_to_one():
+    # a zero network gives every note a probability of exactly 0.5
+    params = {"W1": np.zeros((2, 3)), "b1": np.zeros(3), "W2": np.zeros((3, 1)), "b2": np.zeros(1)}
+    model = MlpModel(params=params, hidden_size=3)
+    assert predict_batch(_boundary_handle("mlp", model), [["a"], ["b"]]).tolist() == [1, 1]
+    params["b2"][0] = -1e-9
+    assert predict_batch(_boundary_handle("mlp", model), [["a"], ["b"]]).tolist() == [0, 0]
+
+
 def test_morbidity_mismatch_rejected():
     handle = _svm_handle()
     with pytest.raises(ValueError, match="Asthma"):
@@ -106,10 +128,9 @@ def _bilstm_handle():
     token_lists = [tokenize(normalize_text(t)) for t in texts]
     vocab = build_vocabulary(token_lists)
     policy = compute_max_len([len(t) for t in token_lists])
-    docs = [pad_truncate(encode(t, vocab), policy) for t in token_lists]
     table = random_table(len(vocab), 12, seed=3)
     model = bilstm_train(
-        docs,
+        index_matrix(token_lists, vocab, policy),
         labels,
         table,
         BiLstmConfig(hidden1=8, hidden2=8, epochs=60, batch_size=3, train_embeddings=True),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from morbench.eval import f1_score
-from morbench.models.svm import SvmModel, hinge_objective, svm_decision, svm_predict, svm_train
+from morbench.models.svm import SvmModel, svm_decision, svm_train
 
 SEPARABLE_X = np.array(
     [
@@ -19,10 +19,18 @@ SEPARABLE_X = np.array(
 SEPARABLE_Y = np.array([1, 1, 1, 0, 0, 0])
 
 
+def hinge_objective(model: SvmModel, X: np.ndarray, y_signed: np.ndarray) -> float:
+    """Full-batch regularized objective; the training progress oracle."""
+    margins = y_signed * (X @ model.weights + model.bias)
+    hinge = np.maximum(0.0, 1.0 - margins).mean()
+    reg = 0.5 * model.lam * (model.weights @ model.weights + model.bias**2)
+    return float(reg + hinge)
+
+
 def test_separable_data_reaches_perfect_f1_for_five_seeds():
     for seed in range(5):
         model = svm_train(SEPARABLE_X, SEPARABLE_Y, lam=1e-2, epochs=50, seed=seed)
-        preds = [svm_predict(model, x) for x in SEPARABLE_X]
+        preds = [int(svm_decision(model, x) >= 0.0) for x in SEPARABLE_X]
         assert f1_score(SEPARABLE_Y, preds) == 1.0, seed
 
 
@@ -59,19 +67,19 @@ def test_row_label_count_mismatch_rejected():
         svm_train(SEPARABLE_X, SEPARABLE_Y[:-1])
 
 
-def test_predict_sign_conventions():
+def test_decision_sign_conventions():
+    # predict_batch maps a decision >= 0 to 1 (tests/test_predictor.py)
     model = SvmModel(weights=np.array([1.0, 0.0]), bias=0.0, lam=1e-4)
-    assert svm_predict(model, [2.0, 5.0]) == 1
-    assert svm_predict(model, [0.0, 5.0]) == 1  # tie on the margin maps to 1
+    assert svm_decision(model, [2.0, 5.0]) == 2.0
+    assert svm_decision(model, [0.0, 5.0]) == 0.0  # on the margin
     model_neg = SvmModel(weights=np.array([1.0, 0.0]), bias=-3.0, lam=1e-4)
-    assert svm_predict(model_neg, [2.0, 0.0]) == 0
     assert svm_decision(model_neg, [2.0, 0.0]) == pytest.approx(-1.0)
 
 
-def test_predict_feature_width_mismatch_rejected():
+def test_decision_feature_width_mismatch_rejected():
     model = SvmModel(weights=np.array([1.0, 0.0]), bias=0.0, lam=1e-4)
     with pytest.raises(ValueError, match="width"):
-        svm_predict(model, [1.0, 2.0, 3.0])
+        svm_decision(model, [1.0, 2.0, 3.0])
 
 
 def test_training_is_deterministic_per_seed():
