@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -354,6 +355,7 @@ def _fit_fold(
     config,
     seed,
     pretrained=None,
+    shared=None,
 ) -> PredictorHandle | str:
     """Fit the featurizer and train the classifier on one fold's training notes.
 
@@ -362,6 +364,9 @@ def _fit_fold(
     a skip reason when the notes it fits on hold too few tokens to set a
     sequence length or to give TF-IDF a single column.
     ``pretrained`` is the cell's (vocabulary, table) for a vector-file source.
+    ``shared`` is run_cell's TF-IDF memo: the first call for a fold index
+    stores the fitted model and the training matrix there, and later calls
+    rebuild the same matrix from it.
     """
     train_docs = [token_lists[i] for i in fold.train_indices]
     fit_docs = token_lists if config.fit_scope == "corpus" else train_docs
@@ -387,10 +392,19 @@ def _fit_fold(
         return PredictorHandle(
             kind="bilstm", morbidity=morbidity, model=model, vocab=vocab, length_policy=policy
         )
-    model_tf = tfidf_fit(fit_docs)
-    if not model_tf.columns:
-        return "notes have no tokens for TF-IDF features (0 columns)"
-    X = tfidf_matrix(train_docs, model_tf)
+    memo = None if shared is None else shared.get(fold.fold)
+    if memo is None:
+        model_tf = tfidf_fit(fit_docs)
+        if not model_tf.columns:
+            return "notes have no tokens for TF-IDF features (0 columns)"
+        X = tfidf_matrix(train_docs, model_tf)
+        if shared is not None:  # the next cell's copy: nonzero entries, not the dense matrix
+            rows, cols = np.nonzero(X)
+            shared[fold.fold] = (model_tf, rows.astype(np.int32), cols.astype(np.int32), X[rows, cols])
+    else:
+        model_tf, rows, cols, values = memo
+        X = np.zeros((len(train_docs), len(model_tf.columns)))
+        X[rows, cols] = values
     if rep.kind == "svm":
         model = svm_train(X, y_train, lam=config.svm_lambda, epochs=config.svm_epochs, seed=seed)
     else:
@@ -409,9 +423,20 @@ def _fit_fold(
 
 
 def run_cell(
-    dataset: MorbidityDataset, representation: str, config: ExperimentConfig, master_seed: int
+    dataset: MorbidityDataset,
+    representation: str,
+    config: ExperimentConfig,
+    master_seed: int,
+    shared: dict | None = None,
 ) -> CellResult:
-    """Score one (morbidity, representation) cell; degenerate data yields a skip."""
+    """Score one (morbidity, representation) cell; degenerate data yields a skip.
+
+    ``shared`` lets the TF-IDF cells of one dataset, config and master seed
+    featurize their notes once: pass the same dict (initially empty) to each
+    of them, and every cell after the first reuses the first one's tokens and,
+    per fold, its fitted TfidfModel and training matrix. BiLSTM cells ignore
+    it. Results are the same as without it.
+    """
     started = time.perf_counter()
     rep = REPRESENTATION_TABLE[representation]
     morbidity = dataset.morbidity
@@ -435,7 +460,13 @@ def run_cell(
         return skip(f"no vector file configured for {representation}")
 
     stopwords = None if rep.kind == "bilstm" else _stopwords()
-    token_lists = [note_tokens(text, stopwords) for text in dataset.texts]
+    if rep.kind == "bilstm":
+        shared = None  # the memo holds TF-IDF tokens and fold features only
+    token_lists = None if shared is None else shared.get("tokens")
+    if token_lists is None:
+        token_lists = [note_tokens(text, stopwords) for text in dataset.texts]
+        if shared is not None:
+            shared["tokens"] = token_lists
     pretrained = None
     if rep.embedding in _VECTOR_FILE_FIELDS:
         # Parse the file once per cell: every fold's vocabulary is a subset of
@@ -451,7 +482,7 @@ def run_cell(
     results = []
     for fold in folds:
         seed = derive_seed(master_seed, morbidity, representation, fold.fold)
-        handle = _fit_fold(rep, morbidity, token_lists, fold, y, config, seed, pretrained)
+        handle = _fit_fold(rep, morbidity, token_lists, fold, y, config, seed, pretrained, shared)
         if isinstance(handle, str):
             return skip(handle)
         y_test = y[list(fold.test_indices)]
@@ -503,9 +534,19 @@ def order_morbidities(names) -> tuple[str, ...]:
     return tuple(known + extra)
 
 
-def _cell_task(args):
-    dataset, representation, config, master_seed = args
-    return run_cell(dataset, representation, config, master_seed)
+def _cells_task(args) -> list[CellResult]:
+    """Run one pool task: its representations' cells, in order, sharing one fold memo."""
+    dataset, representations, config, master_seed = args
+    shared = {} if len(representations) > 1 else None
+    return [run_cell(dataset, rep, config, master_seed, shared) for rep in representations]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def run_experiment(
@@ -517,23 +558,30 @@ def run_experiment(
     """Evaluate every configured (morbidity, representation) cell.
 
     Cells are independent given the master seed, so --jobs N produces the
-    same report bytes as a sequential run.
+    same report bytes as a sequential run. Each morbidity's TF-IDF
+    representations form one task, which featurizes every fold once for all
+    of them (see run_cell's ``shared``); each BiLSTM representation forms its
+    own. The pool has at most one worker per task and per usable CPU.
     """
     names = config.morbidities if config.morbidities is not None else tuple(datasets)
     for name in names:
         if name not in datasets:
             raise ConfigError(f"morbidity {name!r} has no records in the corpus")
     morbidities = order_morbidities(names)
-    tasks = [
-        (datasets[m], rep, config, master_seed)
-        for m in morbidities
-        for rep in config.representations
-    ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            cells = list(pool.map(_cell_task, tasks, chunksize=1))
+    tfidf = tuple(r for r in config.representations if REPRESENTATION_TABLE[r].kind != "bilstm")
+    groups = ([tfidf] if tfidf else []) + [(r,) for r in config.representations if r not in tfidf]
+    coords = [(m, group) for m in morbidities for group in groups]
+    tasks = [(datasets[m], group, config, master_seed) for m, group in coords]
+    workers = min(jobs, len(tasks), _usable_cpus())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            batches = list(pool.map(_cells_task, tasks, chunksize=1))
     else:
-        cells = [_cell_task(t) for t in tasks]
+        batches = [_cells_task(t) for t in tasks]
+    by_key = {
+        (m, rep): cell for (m, group), batch in zip(coords, batches) for rep, cell in zip(group, batch)
+    }
+    cells = [by_key[m, rep] for m in morbidities for rep in config.representations]
     return ExperimentReport(
         master_seed=master_seed, config=config, morbidities=morbidities, cells=tuple(cells)
     )

@@ -76,8 +76,10 @@ def tfidf_matrix(token_lists, model: TfidfModel) -> np.ndarray:
     """Dense (documents x columns) TF-IDF matrix, each row scaled by its maximum."""
     X = np.zeros((len(token_lists), len(model.columns)))
     for r, tokens in enumerate(token_lists):
-        for col, weight in normalize_row(transform(tokens, model)):
-            X[r, col] = weight
+        row = normalize_row(transform(tokens, model))
+        if row:
+            cols, weights = zip(*row)
+            X[r, list(cols)] = weights
     return X
 
 
@@ -86,18 +88,19 @@ def index_matrix(token_lists, vocab: Vocabulary, policy: LengthPolicy) -> np.nda
     return np.array(
         [pad_truncate(encode(tokens, vocab), policy).indices for tokens in token_lists],
         dtype=np.intp,
-    )
+    ).reshape(len(token_lists), policy.max_len)
 
 
 def predict_batch(handle: PredictorHandle, token_lists) -> np.ndarray:
     """0/1 labels for notes already split by ``note_tokens(text, handle.stopwords)``."""
     if handle.kind == "bilstm":
         X = index_matrix(token_lists, handle.vocab, handle.length_policy)
-        probs = [
-            bilstm_forward(X[start : start + BILSTM_SCORE_BATCH], handle.model)
-            for start in range(0, len(X), BILSTM_SCORE_BATCH)
-        ]
-        return (np.concatenate(probs) >= 0.5).astype(int)
+        probs = np.empty(len(X))
+        for start in range(0, len(X), BILSTM_SCORE_BATCH):
+            probs[start : start + BILSTM_SCORE_BATCH] = bilstm_forward(
+                X[start : start + BILSTM_SCORE_BATCH], handle.model
+            )
+        return (probs >= 0.5).astype(int)
     X = tfidf_matrix(token_lists, handle.tfidf)
     if handle.kind == "svm":
         # row by row, so each note in a batch scores exactly as a one-note call does

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from collections import Counter
 from importlib import resources
@@ -29,8 +30,12 @@ def normalize_text(text: str) -> str:
 
 
 def tokenize(text: str) -> list[str]:
-    """Split into maximal alphanumeric runs, preserving order."""
-    return _TOKEN_RE.findall(text)
+    """Split into maximal alphanumeric runs, preserving order.
+
+    Tokens are interned, so every occurrence of a word across notes shares one
+    string: token lists stay small and dictionary lookups compare by identity.
+    """
+    return list(map(sys.intern, _TOKEN_RE.findall(text)))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # A sparse row: (column, weight) pairs sorted by column, one entry per
 # distinct in-vocabulary word present in the document.
@@ -23,13 +23,18 @@ class TfidfModel:
     columns: dict[str, int]  # word -> column, lexicographic order
     doc_freq: dict[str, int]  # word -> number of documents containing it
     corpus_size: int
+    # ln(N / n_w) per column, derived from the fields above
+    idfs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        idfs = [0.0] * len(self.columns)
+        for word, col in self.columns.items():
+            idfs[col] = math.log(self.corpus_size / self.doc_freq[word])
+        object.__setattr__(self, "idfs", tuple(idfs))
 
     @property
     def words(self) -> list[str]:
         return sorted(self.columns, key=self.columns.get)
-
-    def idf(self, word: str) -> float:
-        return math.log(self.corpus_size / self.doc_freq[word])
 
 
 def fit(token_lists: list[list[str]]) -> TfidfModel:
@@ -48,12 +53,14 @@ def transform(tokens: list[str], model: TfidfModel) -> SparseRow:
     size = len(tokens)
     if size == 0:
         return ()
-    counts = Counter(t for t in tokens if t in model.columns)
-    row = [
-        (model.columns[w], (c / size) * model.idf(w))
-        for w, c in counts.items()
-    ]
-    return tuple(sorted(row))
+    columns, idfs = model.columns, model.idfs
+    row = []
+    for word, count in Counter(tokens).items():
+        col = columns.get(word)
+        if col is not None:
+            row.append((col, (count / size) * idfs[col]))
+    row.sort()
+    return tuple(row)
 
 
 def normalize_row(row: SparseRow) -> SparseRow:

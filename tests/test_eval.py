@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -493,12 +494,15 @@ def test_parallel_run_matches_sequential_bytes():
     assert raw_rows(seq) == raw_rows(par)
 
 
-def test_pool_has_no_more_workers_than_cells(monkeypatch):
-    seen = []
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Stands in for ProcessPoolExecutor: records each pool's worker count and
+    each task's (morbidity, representations), and runs the tasks in this process."""
+    record = SimpleNamespace(workers=[], tasks=[])
 
     class RecordingPool:
         def __init__(self, max_workers):
-            seen.append(max_workers)
+            record.workers.append(max_workers)
 
         def __enter__(self):
             return self
@@ -507,11 +511,133 @@ def test_pool_has_no_more_workers_than_cells(monkeypatch):
             return False
 
         def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            record.tasks.extend((t[0].morbidity, t[1]) for t in tasks)
             return map(fn, tasks)
 
     monkeypatch.setattr("morbench.eval.ProcessPoolExecutor", RecordingPool)
+    return record
+
+
+def test_pool_has_no_more_workers_than_cells(recording_pool, monkeypatch):
+    monkeypatch.setattr("morbench.eval._usable_cpus", lambda: 64)
     report = _tiny_experiment(jobs=64)
-    assert seen == [len(report.cells)] == [2]
+    assert recording_pool.workers == [len(report.cells)] == [2]
+
+
+def _two_morbidity_experiment(representations, jobs, master_seed=3):
+    datasets = {
+        "Gout": _marker_dataset("Gout", positives=6, negatives=6, seed=5),
+        "Asthma": _marker_dataset("Asthma", positives=6, negatives=6, seed=6),
+    }
+    config = _cheap_config(k=2, representations=representations, bilstm_epochs=1)
+    return run_experiment(datasets, config, master_seed=master_seed, jobs=jobs)
+
+
+@pytest.mark.parametrize("cpus, workers", [(64, [4]), (3, [3]), (1, [])])
+def test_pool_is_clamped_to_usable_cpus(recording_pool, monkeypatch, cpus, workers):
+    # 2 morbidities x (one TF-IDF task + one task per BiLSTM representation) = 4 tasks;
+    # a single usable CPU runs them in this process, with no pool at all
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
+    _two_morbidity_experiment(("tfidf_svm", "tfidf_mlp", "bilstm_random"), jobs=64)
+    assert recording_pool.workers == workers
+
+
+def test_pool_clamp_falls_back_to_cpu_count(recording_pool, monkeypatch):
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    _two_morbidity_experiment(("tfidf_svm", "tfidf_mlp", "bilstm_random"), jobs=64)
+    assert recording_pool.workers == [3]
+    monkeypatch.setattr("os.cpu_count", lambda: None)  # unknown: one worker, no pool
+    _two_morbidity_experiment(("tfidf_svm", "bilstm_random"), jobs=64)
+    assert recording_pool.workers == [3]
+
+
+def test_tfidf_representations_of_a_morbidity_form_one_task(recording_pool, monkeypatch):
+    monkeypatch.setattr("morbench.eval._usable_cpus", lambda: 8)
+    reps = ("tfidf_svm", "bilstm_random", "tfidf_mlp", "bilstm_domain_w2v")
+    report = _two_morbidity_experiment(reps, jobs=8)
+    assert recording_pool.tasks == [
+        ("Asthma", ("tfidf_svm", "tfidf_mlp")),
+        ("Asthma", ("bilstm_random",)),
+        ("Asthma", ("bilstm_domain_w2v",)),
+        ("Gout", ("tfidf_svm", "tfidf_mlp")),
+        ("Gout", ("bilstm_random",)),
+        ("Gout", ("bilstm_domain_w2v",)),
+    ]
+    # cells come back in (morbidity, representation) grid order, as a sequential run gives them
+    assert [(c.morbidity, c.representation) for c in report.cells] == [
+        (m, rep) for m in ("Asthma", "Gout") for rep in reps
+    ]
+    assert raw_rows(report) == raw_rows(_two_morbidity_experiment(reps, jobs=1))
+
+
+def _without_seconds(cell: CellResult) -> CellResult:
+    return replace(cell, seconds=0.0)
+
+
+@pytest.mark.parametrize("fit_scope", ["fold", "corpus"])
+def test_shared_memo_gives_the_unshared_results(monkeypatch, fit_scope):
+    import morbench.eval as eval_module
+
+    dataset = _marker_dataset(positives=8, negatives=8)
+    config = _cheap_config(representations=("tfidf_svm", "tfidf_mlp"), fit_scope=fit_scope)
+    matrices = []  # every training matrix, as the classifiers receive it
+    for name in ("svm_train", "mlp_train"):
+        train = getattr(eval_module, name)
+
+        def recording_train(X, *args, _train=train, **kwargs):
+            matrices.append((X.shape, X.tobytes()))
+            return _train(X, *args, **kwargs)
+
+        monkeypatch.setattr(eval_module, name, recording_train)
+    alone = [run_cell(dataset, rep, config, master_seed=2) for rep in config.representations]
+    alone_matrices, matrices[:] = matrices[:], []
+    fits = []
+    fit = eval_module.tfidf_fit
+
+    def counting_fit(docs):
+        fits.append(len(docs))
+        return fit(docs)
+
+    monkeypatch.setattr(eval_module, "tfidf_fit", counting_fit)
+    shared = {}
+    together = [
+        run_cell(dataset, rep, config, master_seed=2, shared=shared)
+        for rep in config.representations
+    ]
+    assert [_without_seconds(c) for c in together] == [_without_seconds(c) for c in alone]
+    assert matrices == alone_matrices and len(matrices) == 2 * config.k
+    assert all(c.skipped is None and len(c.folds) == config.k for c in together)
+    assert len(fits) == config.k  # the second cell fitted nothing
+    if fit_scope == "corpus":
+        assert fits == [len(dataset.labels)] * config.k
+
+
+def test_shared_memo_keeps_the_zero_column_skip_for_every_cell():
+    dataset = _dataset("Gout", ["!!! ... ???"] * 20, [1, 0] * 10)
+    config = _cheap_config(representations=("tfidf_svm", "tfidf_mlp"))
+    shared = {}
+    cells = [
+        run_cell(dataset, rep, config, master_seed=0, shared=shared)
+        for rep in config.representations
+    ]
+    for cell in cells:
+        assert cell.skipped is not None and "0 columns" in cell.skipped
+    assert cells[0].skipped == cells[1].skipped
+
+
+def test_bilstm_cells_ignore_the_shared_memo():
+    dataset = _marker_dataset(positives=6, negatives=6)
+    config = _cheap_config(k=2, representations=("tfidf_svm", "bilstm_random"), bilstm_epochs=1)
+    shared = {}
+    run_cell(dataset, "tfidf_svm", config, master_seed=1, shared=shared)
+    memo = dict(shared)
+    cell = run_cell(dataset, "bilstm_random", config, master_seed=1, shared=shared)
+    assert shared.keys() == memo.keys()
+    assert _without_seconds(cell) == _without_seconds(
+        run_cell(dataset, "bilstm_random", config, master_seed=1)
+    )
 
 
 def test_render_markdown_layout_and_average():

@@ -162,3 +162,18 @@ def test_bilstm_batch_is_scored_in_bounded_slices(monkeypatch):
     assert BILSTM_SCORE_BATCH == 32 and sizes == [32, 32, 8]
     X = index_matrix(token_lists, handle.vocab, handle.length_policy)
     assert labels.tolist() == (bilstm_forward(X, handle.model) >= 0.5).astype(int).tolist()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_empty_batch_gives_empty_labels(kind):
+    handle = _bilstm_handle() if kind == "bilstm" else _tfidf_handle(kind)
+    labels = predict_batch(handle, [])
+    assert labels.shape == (0,)
+    assert labels.dtype == predict_batch(handle, [["gout"]]).dtype
+    assert np.issubdtype(labels.dtype, np.integer)
+
+
+def test_index_matrix_of_no_notes_keeps_the_fitted_width():
+    handle = _bilstm_handle()
+    X = index_matrix([], handle.vocab, handle.length_policy)
+    assert X.shape == (0, handle.length_policy.max_len)

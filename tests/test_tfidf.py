@@ -1,9 +1,12 @@
 """TF-IDF weighting against an independent brute-force oracle."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from morbench.models.predictor import tfidf_matrix
 from morbench.tfidf import fit, normalize_row, transform
@@ -133,3 +136,53 @@ def test_deterministic_and_column_order():
     assert m1 == m2
     assert m1.words == ["a", "b"]
     np.testing.assert_array_equal(tfidf_matrix(docs, m1), tfidf_matrix(docs, m2))
+
+
+# ---------------------------------------------------------------------------
+# the featurizer against a per-occurrence reference
+
+
+def reference_transform(tokens, model):
+    """The per-occurrence weighting: filter every token, then weight each word."""
+    size = len(tokens)
+    if size == 0:
+        return ()
+    counts = Counter(t for t in tokens if t in model.columns)
+    row = [
+        (model.columns[w], (c / size) * math.log(model.corpus_size / model.doc_freq[w]))
+        for w, c in counts.items()
+    ]
+    return tuple(sorted(row))
+
+
+def reference_matrix(token_lists, model):
+    """Dense rows written one element at a time, each divided by its maximum."""
+    X = np.zeros((len(token_lists), len(model.columns)))
+    for r, tokens in enumerate(token_lists):
+        row = reference_transform(tokens, model)
+        peak = max((w for _, w in row), default=0.0)
+        for col, weight in row:
+            X[r, col] = weight / peak if peak > 0.0 else weight
+    return X
+
+
+_WORDS = st.sampled_from(["a", "b", "c", "d", "e"])
+_OOV = st.sampled_from(["x", "y"])  # never in a fitted corpus
+_NOTES = st.lists(_WORDS, max_size=12)
+
+
+@given(
+    corpus=st.lists(_NOTES, min_size=1, max_size=6),
+    queries=st.lists(st.lists(st.one_of(_WORDS, _OOV), max_size=12), max_size=6),
+)
+@example(corpus=[["a", "a", "b"]], queries=[[], ["x", "y", "x"], ["a", "x", "a", "a"]])
+@example(corpus=[[], ["c"], ["c", "c"]], queries=[["c"] * 5])
+@example(corpus=[[]], queries=[["a"]])
+def test_transform_and_matrix_equal_the_reference_exactly(corpus, queries):
+    model = fit(corpus)
+    for doc in corpus + queries:
+        assert transform(doc, model) == reference_transform(doc, model)
+    for docs in (corpus, queries):
+        got, want = tfidf_matrix(docs, model), reference_matrix(docs, model)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
