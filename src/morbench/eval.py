@@ -17,6 +17,7 @@ with is the code cross-validation scored.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
@@ -435,7 +436,8 @@ def run_cell(
     featurize their notes once: pass the same dict (initially empty) to each
     of them, and every cell after the first reuses the first one's tokens and,
     per fold, its fitted TfidfModel and training matrix. BiLSTM cells ignore
-    it. Results are the same as without it.
+    it. Results are the same as without it. A memo filled for another
+    dataset, config or master seed raises ValueError.
     """
     started = time.perf_counter()
     rep = REPRESENTATION_TABLE[representation]
@@ -462,6 +464,10 @@ def run_cell(
     stopwords = None if rep.kind == "bilstm" else _stopwords()
     if rep.kind == "bilstm":
         shared = None  # the memo holds TF-IDF tokens and fold features only
+    elif shared is not None:
+        key = (dataset, config, master_seed)
+        if shared.setdefault("key", key) != key:
+            raise ValueError("shared memo was filled for another dataset, config or master seed")
     token_lists = None if shared is None else shared.get("tokens")
     if token_lists is None:
         token_lists = [note_tokens(text, stopwords) for text in dataset.texts]
@@ -549,6 +555,33 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _set_blas_threads(n: int) -> int | None:
+    """Give numpy's OpenBLAS n threads and return how many it had (None: another BLAS).
+
+    run_experiment runs BLAS on one thread in every process that scores
+    cells. Pool workers with BLAS threads of their own oversubscribe the
+    cores, and OpenBLAS splits long dot and matrix-vector products by its
+    thread count, so without the pin the low bits of a result would depend
+    on the host's core count.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_openblas", "openblas"):  # numpy >= 2 wheels; older wheels and system builds
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{name}_get_num_threads{suffix}", None)
+            if get is not None:
+                before = get()
+                getattr(lib, f"{name}_set_num_threads{suffix}")(n)
+                return before
+    return None
+
+
 def run_experiment(
     datasets: dict[str, MorbidityDataset],
     config: ExperimentConfig,
@@ -561,7 +594,8 @@ def run_experiment(
     same report bytes as a sequential run. Each morbidity's TF-IDF
     representations form one task, which featurizes every fold once for all
     of them (see run_cell's ``shared``); each BiLSTM representation forms its
-    own. The pool has at most one worker per task and per usable CPU.
+    own. The pool has at most one worker per task and per usable CPU, and
+    BLAS runs on one thread throughout (see _set_blas_threads).
     """
     names = config.morbidities if config.morbidities is not None else tuple(datasets)
     for name in names:
@@ -573,11 +607,18 @@ def run_experiment(
     coords = [(m, group) for m in morbidities for group in groups]
     tasks = [(datasets[m], group, config, master_seed) for m, group in coords]
     workers = min(jobs, len(tasks), _usable_cpus())
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_cells_task, tasks, chunksize=1))
-    else:
-        batches = [_cells_task(t) for t in tasks]
+    blas_threads = _set_blas_threads(1)
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
+            ) as pool:
+                batches = list(pool.map(_cells_task, tasks, chunksize=1))
+        else:
+            batches = [_cells_task(t) for t in tasks]
+    finally:
+        if blas_threads is not None:
+            _set_blas_threads(blas_threads)
     by_key = {
         (m, rep): cell for (m, group), batch in zip(coords, batches) for rep, cell in zip(group, batch)
     }

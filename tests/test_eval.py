@@ -486,9 +486,25 @@ def test_run_experiment_rejects_unknown_morbidity():
         run_experiment(datasets, config, master_seed=0)
 
 
-def test_parallel_run_matches_sequential_bytes():
-    seq = _tiny_experiment(jobs=1)
-    par = _tiny_experiment(jobs=4)
+def test_parallel_run_matches_sequential_bytes(monkeypatch):
+    import morbench.eval as eval_module
+
+    # real worker processes on any host: a grouped TF-IDF task (its memo
+    # filled in a worker) and a BiLSTM task per morbidity
+    monkeypatch.setattr(eval_module, "_usable_cpus", lambda: 2)
+    pools = []
+
+    class CountingPool(eval_module.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(eval_module, "ProcessPoolExecutor", CountingPool)
+    reps = ("tfidf_svm", "tfidf_mlp", "bilstm_random")
+    seq = _two_morbidity_experiment(reps, jobs=1)
+    par = _two_morbidity_experiment(reps, jobs=4)
+    assert pools == [2]
+    assert all(c.skipped is None for c in par.cells) and len(par.cells) == 6
     assert render_report_markdown(seq) == render_report_markdown(par)
     assert render_report_csv(seq) == render_report_csv(par)
     assert raw_rows(seq) == raw_rows(par)
@@ -496,13 +512,15 @@ def test_parallel_run_matches_sequential_bytes():
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """Stands in for ProcessPoolExecutor: records each pool's worker count and
-    each task's (morbidity, representations), and runs the tasks in this process."""
-    record = SimpleNamespace(workers=[], tasks=[])
+    """Stands in for ProcessPoolExecutor: records each pool's worker count,
+    worker initializer and each task's (morbidity, representations), and runs
+    the tasks in this process."""
+    record = SimpleNamespace(workers=[], initializers=[], tasks=[])
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             record.workers.append(max_workers)
+            record.initializers.append((initializer, initargs))
 
         def __enter__(self):
             return self
@@ -572,6 +590,34 @@ def test_tfidf_representations_of_a_morbidity_form_one_task(recording_pool, monk
     assert raw_rows(report) == raw_rows(_two_morbidity_experiment(reps, jobs=1))
 
 
+def test_cells_run_with_one_blas_thread(recording_pool, monkeypatch):
+    import morbench.eval as eval_module
+
+    outside = eval_module._set_blas_threads(2)
+    if outside is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    seen = []  # the thread count each cell ran with
+    run_cell_inner = eval_module.run_cell
+
+    def recording_run_cell(*args, **kwargs):
+        seen.append(eval_module._set_blas_threads(1))
+        return run_cell_inner(*args, **kwargs)
+
+    monkeypatch.setattr(eval_module, "run_cell", recording_run_cell)
+    try:
+        monkeypatch.setattr(eval_module, "_usable_cpus", lambda: 1)
+        _tiny_experiment(jobs=2)  # one usable CPU: no pool
+        assert eval_module._set_blas_threads(2) == 2  # the caller's count is restored
+        monkeypatch.setattr(eval_module, "_usable_cpus", lambda: 2)
+        _tiny_experiment(jobs=2)
+        assert eval_module._set_blas_threads(2) == 2
+    finally:
+        eval_module._set_blas_threads(outside)
+    assert seen == [1] * 4
+    assert recording_pool.workers == [2]
+    assert recording_pool.initializers == [(eval_module._set_blas_threads, (1,))]
+
+
 def _without_seconds(cell: CellResult) -> CellResult:
     return replace(cell, seconds=0.0)
 
@@ -625,6 +671,24 @@ def test_shared_memo_keeps_the_zero_column_skip_for_every_cell():
     for cell in cells:
         assert cell.skipped is not None and "0 columns" in cell.skipped
     assert cells[0].skipped == cells[1].skipped
+
+
+def test_shared_memo_refuses_another_dataset_config_or_seed():
+    dataset = _marker_dataset(positives=6, negatives=6)
+    config = _cheap_config(k=2, representations=("tfidf_svm", "tfidf_mlp"))
+    shared = {}
+    run_cell(dataset, "tfidf_svm", config, master_seed=1, shared=shared)
+    other = _marker_dataset("Asthma", positives=6, negatives=6, seed=9)
+    for args in (
+        (other, "tfidf_mlp", config, 1),
+        (dataset, "tfidf_mlp", replace(config, fit_scope="corpus"), 1),
+        (dataset, "tfidf_mlp", config, 2),
+    ):
+        with pytest.raises(ValueError, match="shared memo"):
+            run_cell(*args, shared=shared)
+    # an equal dataset and config built anew may use it
+    again = run_cell(_marker_dataset(positives=6, negatives=6), "tfidf_mlp", replace(config), 1, shared)
+    assert _without_seconds(again) == _without_seconds(run_cell(dataset, "tfidf_mlp", config, 1))
 
 
 def test_bilstm_cells_ignore_the_shared_memo():
