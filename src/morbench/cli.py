@@ -36,7 +36,7 @@ from morbench.corpus import (
     write_corpus,
 )
 from morbench.embeddings import save_vectors, train_skipgram
-from morbench.errors import ConfigError, MorbenchError
+from morbench.errors import ConfigError, CorpusError, MorbenchError
 from morbench.eval import (
     ExperimentConfig,
     config_from_dict,
@@ -179,6 +179,8 @@ def cmd_prepare(args) -> int:
 
 def cmd_train_embeddings(args) -> int:
     notes = _load_notes(args.corpus)
+    if not notes:
+        raise CorpusError(f"corpus {', '.join(args.corpus)} holds no notes to train embeddings on")
     config = _load_config(args.config)
     token_lists = [tokenize(normalize_text(note.text)) for note in notes]
     vocab = build_vocabulary(token_lists)

@@ -289,6 +289,8 @@ def synthetic_spec_from_dict(obj: dict) -> SyntheticSpec:
     values = _spec_values(obj, _SPEC_DEFAULTS, "synthetic spec")
     morbidities = {}
     for name, entry in values["morbidities"].items():
+        if not name:
+            raise ConfigError("empty morbidity name")
         spec = MorbiditySpec(**_spec_values(entry, _MORBIDITY_DEFAULTS, f"spec of {name!r}"))
         if spec.positives < 0 or spec.negatives < 0:
             raise ConfigError(f"negative counts for morbidity {name!r}")

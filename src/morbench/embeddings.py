@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from morbench.errors import VectorFileError
+from morbench.models.training import sigmoid
 from morbench.preprocess import Vocabulary, encode
 
 PAD_ROW = 0
@@ -154,10 +155,6 @@ def _log_sigmoid(x: float) -> float:
     return x - math.log1p(math.exp(x))
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def pair_loss_and_gradients(v_c: np.ndarray, u_o: np.ndarray, u_neg: np.ndarray):
     """Loss of one (center, context) pair with k negatives, and its gradients.
 
@@ -170,22 +167,12 @@ def pair_loss_and_gradients(v_c: np.ndarray, u_o: np.ndarray, u_neg: np.ndarray)
     loss = -_log_sigmoid(pos)
     for x in neg.tolist():
         loss -= _log_sigmoid(-x)
-    pos_err = _sigmoid(pos) - 1.0  # in (-1, 0)
-    neg_err = _sigmoid(neg)
+    pos_err = sigmoid(pos) - 1.0  # in (-1, 0)
+    neg_err = sigmoid(neg)
     g_v = pos_err * u_o + neg_err @ u_neg
     g_uo = pos_err * v_c
     g_uneg = neg_err[:, None] * v_c[None, :]
     return loss, (g_v, g_uo, g_uneg)
-
-
-def pair_loss(v_c: np.ndarray, u_o: np.ndarray, u_neg: np.ndarray) -> float:
-    """Negative-sampling loss of one (center, context) pair with k negatives."""
-    return pair_loss_and_gradients(v_c, u_o, u_neg)[0]
-
-
-def pair_gradients(v_c, u_o, u_neg):
-    """Gradients of pair_loss w.r.t. (v_c, u_o, each negative u_k)."""
-    return pair_loss_and_gradients(v_c, u_o, u_neg)[1]
 
 
 def negative_sampling_cumulative(counts: np.ndarray) -> np.ndarray:

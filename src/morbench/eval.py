@@ -332,42 +332,46 @@ def _stopwords() -> frozenset:
     return _STOPWORDS
 
 
-def _embedding(source: str, vocab, train_docs, config: ExperimentConfig, seed: int, pretrained):
+def _once(memo: dict, key, make):
+    """memo[key], built by make() the first time it is asked for."""
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
+
+
+def _embedding(
+    source: str, vocab, token_lists, train_docs, config: ExperimentConfig, seed: int, memo
+):
     """Embedding table for a BiLSTM, and whether training may update it.
 
-    A vector-file source copies the fold's rows out of ``pretrained``, the
-    (vocabulary, table) pair run_cell loaded once for the whole cell.
+    A vector file is parsed once per memo, against the words of every note,
+    and each fold copies its own words' rows out of that table.
     """
     if source == "random":
         return random_table(len(vocab), config.embed_dim, seed), True
     if source == "skipgram":
         table, _ = train_skipgram(train_docs, vocab, config.skipgram(seed))
         return table, False
-    cell_vocab, cell_table = pretrained
-    return restrict_table(cell_table, cell_vocab, vocab), False
+
+    def load():
+        all_vocab = build_vocabulary(token_lists)
+        return all_vocab, load_pretrained(getattr(config, source), all_vocab, config.embed_dim)[0]
+
+    all_vocab, all_table = _once(memo, source, load)
+    return restrict_table(all_table, all_vocab, vocab), False
 
 
 def _fit_fold(
-    rep: Representation,
-    morbidity: str,
-    token_lists,
-    fold: FoldSplit,
-    labels,
-    config,
-    seed,
-    pretrained=None,
-    shared=None,
+    rep: Representation, morbidity: str, token_lists, fold: FoldSplit, labels, config, seed, memo
 ) -> PredictorHandle | str:
     """Fit the featurizer and train the classifier on one fold's training notes.
 
     The featurizer is fitted on the training notes, or on every note under
     fit_scope="corpus". Returns the handle that scores the held-out notes, or
     a skip reason when the notes it fits on hold too few tokens to set a
-    sequence length or to give TF-IDF a single column.
-    ``pretrained`` is the cell's (vocabulary, table) for a vector-file source.
-    ``shared`` is run_cell's TF-IDF memo: the first call for a fold index
-    stores the fitted model and the training matrix there, and later calls
-    rebuild the same matrix from it.
+    sequence length or to give TF-IDF a single column. ``memo`` is the pool
+    task's (see run_cell); it keeps each TF-IDF model by the notes it was
+    fitted on, and each fold's training matrix as int32 coordinates.
     """
     train_docs = [token_lists[i] for i in fold.train_indices]
     fit_docs = token_lists if config.fit_scope == "corpus" else train_docs
@@ -378,7 +382,7 @@ def _fit_fold(
         if policy.max_len < 1:
             return f"notes too short for a sequence (max_len {policy.max_len})"
         table, trainable = _embedding(
-            rep.embedding, vocab, train_docs, config, derive_seed(seed, "embed"), pretrained
+            rep.embedding, vocab, token_lists, train_docs, config, derive_seed(seed, "embed"), memo
         )
         bconfig = BiLstmConfig(
             hidden1=config.bilstm_hidden1,
@@ -393,19 +397,19 @@ def _fit_fold(
         return PredictorHandle(
             kind="bilstm", morbidity=morbidity, model=model, vocab=vocab, length_policy=policy
         )
-    memo = None if shared is None else shared.get(fold.fold)
-    if memo is None:
-        model_tf = tfidf_fit(fit_docs)
-        if not model_tf.columns:
-            return "notes have no tokens for TF-IDF features (0 columns)"
-        X = tfidf_matrix(train_docs, model_tf)
-        if shared is not None:  # the next cell's copy: nonzero entries, not the dense matrix
-            rows, cols = np.nonzero(X)
-            shared[fold.fold] = (model_tf, rows.astype(np.int32), cols.astype(np.int32), X[rows, cols])
-    else:
-        model_tf, rows, cols, values = memo
+    fitted_on = "corpus" if config.fit_scope == "corpus" else fold.fold
+    model_tf = _once(memo, ("tfidf", fitted_on), lambda: tfidf_fit(fit_docs))
+    if not model_tf.columns:
+        return "notes have no tokens for TF-IDF features (0 columns)"
+    key = ("train_matrix", fold.fold)
+    if key in memo:
+        rows, cols, values = memo[key]
         X = np.zeros((len(train_docs), len(model_tf.columns)))
         X[rows, cols] = values
+    else:
+        X = tfidf_matrix(train_docs, model_tf)
+        rows, cols = np.nonzero(X)
+        memo[key] = (rows.astype(np.int32), cols.astype(np.int32), X[rows, cols])
     if rep.kind == "svm":
         model = svm_train(X, y_train, lam=config.svm_lambda, epochs=config.svm_epochs, seed=seed)
     else:
@@ -428,18 +432,18 @@ def run_cell(
     representation: str,
     config: ExperimentConfig,
     master_seed: int,
-    shared: dict | None = None,
+    _memo: dict | None = None,
 ) -> CellResult:
     """Score one (morbidity, representation) cell; degenerate data yields a skip.
 
-    ``shared`` lets the TF-IDF cells of one dataset, config and master seed
-    featurize their notes once: pass the same dict (initially empty) to each
-    of them, and every cell after the first reuses the first one's tokens and,
-    per fold, its fitted TfidfModel and training matrix. BiLSTM cells ignore
-    it. Results are the same as without it. A memo filled for another
-    dataset, config or master seed raises ValueError.
+    ``_memo`` is internal: _cells_task passes one dict to every cell of a pool
+    task, all of one dataset, config and master seed, so that each note is
+    tokenized, each vector file parsed and each TF-IDF model fitted once per
+    task. The results are the same as with a fresh dict, which run_cell makes
+    when it gets none.
     """
     started = time.perf_counter()
+    memo = {} if _memo is None else _memo
     rep = REPRESENTATION_TABLE[representation]
     morbidity = dataset.morbidity
     labels = list(dataset.labels)
@@ -462,24 +466,9 @@ def run_cell(
         return skip(f"no vector file configured for {representation}")
 
     stopwords = None if rep.kind == "bilstm" else _stopwords()
-    if rep.kind == "bilstm":
-        shared = None  # the memo holds TF-IDF tokens and fold features only
-    elif shared is not None:
-        key = (dataset, config, master_seed)
-        if shared.setdefault("key", key) != key:
-            raise ValueError("shared memo was filled for another dataset, config or master seed")
-    token_lists = None if shared is None else shared.get("tokens")
-    if token_lists is None:
-        token_lists = [note_tokens(text, stopwords) for text in dataset.texts]
-        if shared is not None:
-            shared["tokens"] = token_lists
-    pretrained = None
-    if rep.embedding in _VECTOR_FILE_FIELDS:
-        # Parse the file once per cell: every fold's vocabulary is a subset of
-        # the cell's (no count cutoff, and each note trains in k-1 >= 1 folds).
-        cell_vocab = build_vocabulary(token_lists)
-        table, _ = load_pretrained(getattr(config, rep.embedding), cell_vocab, config.embed_dim)
-        pretrained = (cell_vocab, table)
+    token_lists = _once(
+        memo, ("tokens", stopwords), lambda: [note_tokens(t, stopwords) for t in dataset.texts]
+    )
 
     fold_seed = derive_seed(master_seed, morbidity, "folds")
     folds = stratified_kfold(labels, config.k, fold_seed)
@@ -488,7 +477,7 @@ def run_cell(
     results = []
     for fold in folds:
         seed = derive_seed(master_seed, morbidity, representation, fold.fold)
-        handle = _fit_fold(rep, morbidity, token_lists, fold, y, config, seed, pretrained, shared)
+        handle = _fit_fold(rep, morbidity, token_lists, fold, y, config, seed, memo)
         if isinstance(handle, str):
             return skip(handle)
         y_test = y[list(fold.test_indices)]
@@ -541,10 +530,10 @@ def order_morbidities(names) -> tuple[str, ...]:
 
 
 def _cells_task(args) -> list[CellResult]:
-    """Run one pool task: its representations' cells, in order, sharing one fold memo."""
+    """Run one pool task: its representations' cells, in order, sharing one memo."""
     dataset, representations, config, master_seed = args
-    shared = {} if len(representations) > 1 else None
-    return [run_cell(dataset, rep, config, master_seed, shared) for rep in representations]
+    memo = {}
+    return [run_cell(dataset, rep, config, master_seed, memo) for rep in representations]
 
 
 def _usable_cpus() -> int:
@@ -593,7 +582,7 @@ def run_experiment(
     Cells are independent given the master seed, so --jobs N produces the
     same report bytes as a sequential run. Each morbidity's TF-IDF
     representations form one task, which featurizes every fold once for all
-    of them (see run_cell's ``shared``); each BiLSTM representation forms its
+    of them (see _fit_fold's ``memo``); each BiLSTM representation forms its
     own. The pool has at most one worker per task and per usable CPU, and
     BLAS runs on one thread throughout (see _set_blas_threads).
     """

@@ -230,6 +230,16 @@ def test_train_embeddings_writes_loadable_vectors(workspace, capsys):
     assert table.rows.shape == (len(vocab) + 1, 8)
 
 
+def test_train_embeddings_on_an_empty_corpus_is_a_usage_error(workspace, capsys):
+    empty = workspace / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    out = workspace / "vectors.txt"
+    assert main(["train-embeddings", str(empty), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "empty.jsonl" in err and "no notes" in err and "internal error" not in err
+    assert not out.exists()
+
+
 def test_print_default_config(capsys):
     assert main(["run", "--print-default-config"]) == 0
     printed = json.loads(capsys.readouterr().out)

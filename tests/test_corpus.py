@@ -228,6 +228,7 @@ def test_spec_from_dict():
         {"noise_vocab_size": 0, "morbidities": {}},
         {"min_tokens": 5, "max_tokens": 4, "morbidities": {}},
         {"morbidities": {"A": "nope"}},
+        {"morbidities": {"": {"positives": 1, "negatives": 1}}},
         [],
     ],
 )

@@ -23,6 +23,7 @@ from morbench.eval import (
     ExperimentConfig,
     ExperimentReport,
     FoldResult,
+    _cells_task,
     _fit_fold,
     config_from_dict,
     config_to_dict,
@@ -40,7 +41,9 @@ from morbench.eval import (
     run_experiment,
     stratified_kfold,
 )
+from morbench.models.predictor import note_tokens, tfidf_matrix
 from morbench.preprocess import normalize_text, tokenize
+from morbench.tfidf import fit as tfidf_fit
 
 
 def _dataset(morbidity, texts, labels):
@@ -270,7 +273,7 @@ def _token_lists(dataset):
 def _fit(representation, token_lists, fold, labels, **overrides):
     rep = REPRESENTATION_TABLE[representation]
     config = _cheap_config(**overrides)
-    return _fit_fold(rep, "Gout", token_lists, fold, np.asarray(labels), config, seed=0)
+    return _fit_fold(rep, "Gout", token_lists, fold, np.asarray(labels), config, 0, {})
 
 
 def test_tfidf_fold_ignores_test_documents():
@@ -623,12 +626,27 @@ def _without_seconds(cell: CellResult) -> CellResult:
 
 
 @pytest.mark.parametrize("fit_scope", ["fold", "corpus"])
-def test_shared_memo_gives_the_unshared_results(monkeypatch, fit_scope):
+def test_shared_memo_gives_the_unshared_results(tmp_path, monkeypatch, fit_scope):
     import morbench.eval as eval_module
 
-    dataset = _marker_dataset(positives=8, negatives=8)
-    config = _cheap_config(representations=("tfidf_svm", "tfidf_mlp"), fit_scope=fit_scope)
-    matrices = []  # every training matrix, as the classifiers receive it
+    marker = _marker_dataset(positives=8, negatives=8)
+    # stopwords in every note: the TF-IDF cells drop them and the BiLSTM cells keep them
+    dataset = _dataset("Gout", [f"the {text} of" for text in marker.texts], marker.labels)
+    path = tmp_path / "vec.txt"
+    rng = np.random.default_rng(0)
+    words = sorted({t for tokens in _token_lists(dataset) for t in tokens})
+    lines = [f"{w} {rng.normal()!r} {rng.normal()!r}\n" for w in words]
+    path.write_text("".join(lines), encoding="utf-8")
+    # one task holding every kind of memo entry; a run gives each BiLSTM representation its own
+    reps = ("tfidf_svm", "tfidf_mlp", "bilstm_random", "bilstm_pretrained_w2v")
+    config = _cheap_config(
+        representations=reps,
+        fit_scope=fit_scope,
+        word2vec_path=str(path),
+        embed_dim=2,
+        bilstm_epochs=1,
+    )
+    matrices = []  # every TF-IDF training matrix, as the classifiers receive it
     for name in ("svm_train", "mlp_train"):
         train = getattr(eval_module, name)
 
@@ -637,71 +655,47 @@ def test_shared_memo_gives_the_unshared_results(monkeypatch, fit_scope):
             return _train(X, *args, **kwargs)
 
         monkeypatch.setattr(eval_module, name, recording_train)
-    alone = [run_cell(dataset, rep, config, master_seed=2) for rep in config.representations]
+    alone = [run_cell(dataset, rep, config, master_seed=2) for rep in reps]
     alone_matrices, matrices[:] = matrices[:], []
-    fits = []
-    fit = eval_module.tfidf_fit
+    # each fold's matrix as it is built with no memo at all
+    tokens = [note_tokens(t, eval_module._stopwords()) for t in dataset.texts]
+    expected = []
+    for fold in stratified_kfold(dataset.labels, config.k, derive_seed(2, "Gout", "folds")):
+        train = [tokens[i] for i in fold.train_indices]
+        X = tfidf_matrix(train, tfidf_fit(tokens if fit_scope == "corpus" else train))
+        expected.append((X.shape, X.tobytes()))
+    assert alone_matrices == expected * 2
+    fits, loads = [], []
+    fit, load = eval_module.tfidf_fit, eval_module.load_pretrained
 
     def counting_fit(docs):
         fits.append(len(docs))
         return fit(docs)
 
+    def counting_load(*args):
+        loads.append(args)
+        return load(*args)
+
     monkeypatch.setattr(eval_module, "tfidf_fit", counting_fit)
-    shared = {}
-    together = [
-        run_cell(dataset, rep, config, master_seed=2, shared=shared)
-        for rep in config.representations
-    ]
+    monkeypatch.setattr(eval_module, "load_pretrained", counting_load)
+    together = _cells_task((dataset, reps, config, 2))
     assert [_without_seconds(c) for c in together] == [_without_seconds(c) for c in alone]
     assert matrices == alone_matrices and len(matrices) == 2 * config.k
     assert all(c.skipped is None and len(c.folds) == config.k for c in together)
-    assert len(fits) == config.k  # the second cell fitted nothing
+    assert len(loads) == 1
     if fit_scope == "corpus":
-        assert fits == [len(dataset.labels)] * config.k
+        assert fits == [len(dataset.labels)]  # one fit for the whole task
+    else:
+        assert len(fits) == config.k  # the second TF-IDF cell fitted nothing
 
 
 def test_shared_memo_keeps_the_zero_column_skip_for_every_cell():
     dataset = _dataset("Gout", ["!!! ... ???"] * 20, [1, 0] * 10)
     config = _cheap_config(representations=("tfidf_svm", "tfidf_mlp"))
-    shared = {}
-    cells = [
-        run_cell(dataset, rep, config, master_seed=0, shared=shared)
-        for rep in config.representations
-    ]
+    cells = _cells_task((dataset, config.representations, config, 0))
     for cell in cells:
         assert cell.skipped is not None and "0 columns" in cell.skipped
     assert cells[0].skipped == cells[1].skipped
-
-
-def test_shared_memo_refuses_another_dataset_config_or_seed():
-    dataset = _marker_dataset(positives=6, negatives=6)
-    config = _cheap_config(k=2, representations=("tfidf_svm", "tfidf_mlp"))
-    shared = {}
-    run_cell(dataset, "tfidf_svm", config, master_seed=1, shared=shared)
-    other = _marker_dataset("Asthma", positives=6, negatives=6, seed=9)
-    for args in (
-        (other, "tfidf_mlp", config, 1),
-        (dataset, "tfidf_mlp", replace(config, fit_scope="corpus"), 1),
-        (dataset, "tfidf_mlp", config, 2),
-    ):
-        with pytest.raises(ValueError, match="shared memo"):
-            run_cell(*args, shared=shared)
-    # an equal dataset and config built anew may use it
-    again = run_cell(_marker_dataset(positives=6, negatives=6), "tfidf_mlp", replace(config), 1, shared)
-    assert _without_seconds(again) == _without_seconds(run_cell(dataset, "tfidf_mlp", config, 1))
-
-
-def test_bilstm_cells_ignore_the_shared_memo():
-    dataset = _marker_dataset(positives=6, negatives=6)
-    config = _cheap_config(k=2, representations=("tfidf_svm", "bilstm_random"), bilstm_epochs=1)
-    shared = {}
-    run_cell(dataset, "tfidf_svm", config, master_seed=1, shared=shared)
-    memo = dict(shared)
-    cell = run_cell(dataset, "bilstm_random", config, master_seed=1, shared=shared)
-    assert shared.keys() == memo.keys()
-    assert _without_seconds(cell) == _without_seconds(
-        run_cell(dataset, "bilstm_random", config, master_seed=1)
-    )
 
 
 def test_render_markdown_layout_and_average():
