@@ -19,6 +19,7 @@ import multiprocessing
 import os
 import re
 import sys
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -31,7 +32,6 @@ from morbench.corpus import (
     generate_synthetic_corpus,
     load_corpus,
     merge_partitions,
-    summarize,
     synthetic_spec_from_dict,
     write_corpus,
 )
@@ -80,7 +80,7 @@ def _read_text(path: str, what: str) -> str:
 def _read_json(path: str, what: str):
     try:
         return json.loads(_read_text(path, what))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, deep nesting
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
@@ -148,42 +148,40 @@ def cmd_synth(args) -> int:
 
 def cmd_prepare(args) -> int:
     notes = _load_notes(args.corpus)
-    present = sorted({m for note in notes for m in note.labels})
-    morbidities = order_morbidities(set(MORBIDITIES) | set(present))
+    labeled = Counter(m for note in notes for m in note.labels)
+    morbidities = order_morbidities(set(MORBIDITIES) | set(labeled))
     outdir = _make_dir(_resolve_out(args.out))
 
     pairs: list[tuple[Path, str]] = []
+    rows = []  # (morbidity, total, positive, negative, excluded)
     for m in morbidities:
         dataset = build_binary_dataset(notes, m)
         lines = [json.dumps(asdict(r), sort_keys=True, ensure_ascii=False) for r in dataset.records]
         body = "\n".join(lines) + ("\n" if lines else "")
         pairs.append((outdir / f"dataset_{_slug(m)}.jsonl", body))
-
-    summary = summarize(notes, list(morbidities))
+        total, positive = len(dataset.records), sum(dataset.labels)
+        rows.append((m, total, positive, total - positive, labeled[m] - total))
     csv_lines = ["morbidity,total,positive,negative,excluded"]
-    for row in summary.rows:
-        csv_lines.append(f"{row.morbidity},{row.total},{row.positive},{row.negative},{row.excluded}")
+    csv_lines += [",".join(map(str, row)) for row in rows]
     pairs.append((outdir / "summary.csv", "\n".join(csv_lines) + "\n"))
     _write_files(pairs)
 
-    width = max(len(r.morbidity) for r in summary.rows)
+    width = max(len(m) for m in morbidities)
     print(f"{'morbidity'.ljust(width)}  total  positive  negative  excluded")
-    for row in summary.rows:
-        print(
-            f"{row.morbidity.ljust(width)}  {row.total:5d}  {row.positive:8d}"
-            f"  {row.negative:8d}  {row.excluded:8d}"
-        )
+    for m, total, positive, negative, excluded in rows:
+        print(f"{m.ljust(width)}  {total:5d}  {positive:8d}  {negative:8d}  {excluded:8d}")
     print(f"wrote {len(morbidities)} dataset files and summary.csv to {outdir}")
     return 0
 
 
 def cmd_train_embeddings(args) -> int:
-    notes = _load_notes(args.corpus)
-    if not notes:
-        raise CorpusError(f"corpus {', '.join(args.corpus)} holds no notes to train embeddings on")
-    config = _load_config(args.config)
-    token_lists = [tokenize(normalize_text(note.text)) for note in notes]
+    token_lists = [tokenize(normalize_text(note.text)) for note in _load_notes(args.corpus)]
     vocab = build_vocabulary(token_lists)
+    if not vocab:
+        raise CorpusError(
+            f"corpus {', '.join(args.corpus)} holds no notes or no tokens to train embeddings on"
+        )
+    config = _load_config(args.config)
     sg = config.skipgram(args.seed)
     table, losses = train_skipgram(token_lists, vocab, sg)
     out = _resolve_out(args.out)

@@ -75,20 +75,6 @@ class MorbidityDataset:
         return [r.text for r in self.records]
 
 
-@dataclass(frozen=True)
-class MorbiditySummary:
-    morbidity: str
-    total: int
-    positive: int
-    negative: int
-    excluded: int  # notes labeled for this morbidity but with no Y/N label
-
-
-@dataclass(frozen=True)
-class CorpusSummary:
-    rows: tuple[MorbiditySummary, ...]
-
-
 def _parse_label_pair(raw, morbidity: str, lineno: int) -> LabelPair:
     if not isinstance(raw, dict):
         raise CorpusError(f"line {lineno}: labels for {morbidity!r} must be an object")
@@ -99,7 +85,7 @@ def _parse_label_pair(raw, morbidity: str, lineno: int) -> LabelPair:
         )
     for kind in ("textual", "intuitive"):
         value = raw.get(kind)
-        if value is not None and value not in LABEL_SYMBOLS:
+        if value is not None and (not isinstance(value, str) or value not in LABEL_SYMBOLS):
             raise CorpusError(
                 f"line {lineno}: {kind} label {value!r} for morbidity {morbidity!r} "
                 f"is not one of Y, N, U, Q"
@@ -110,8 +96,8 @@ def _parse_label_pair(raw, morbidity: str, lineno: int) -> LabelPair:
 def _parse_note(line: str, lineno: int) -> ClinicalNote:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    except (ValueError, RecursionError) as exc:  # also an over-long integer or deep nesting
+        raise CorpusError(f"line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(obj, dict):
         raise CorpusError(f"line {lineno}: expected a JSON object")
     note_id = obj.get("id")
@@ -128,6 +114,12 @@ def _parse_note(line: str, lineno: int) -> ClinicalNote:
         if not morbidity:
             raise CorpusError(f"line {lineno}: empty morbidity name")
         labels[morbidity] = _parse_label_pair(raw, morbidity, lineno)
+    try:  # JSON can spell an unpaired surrogate, which no UTF-8 file can hold, as \ud800
+        "".join([note_id, text, *labels]).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise CorpusError(
+            f"line {lineno}: an unpaired surrogate escape in 'id', 'text' or a morbidity name"
+        ) from exc
     return ClinicalNote(id=note_id, text=text, labels=labels)
 
 
@@ -223,26 +215,6 @@ def merge_partitions(partitions: list[list[ClinicalNote]]) -> list[ClinicalNote]
             seen[note.id] = where
             merged.append(note)
     return merged
-
-
-def summarize(notes: list[ClinicalNote], morbidities: list[str]) -> CorpusSummary:
-    """Per-morbidity totals and positive/negative counts."""
-    rows = []
-    for morbidity in morbidities:
-        dataset = build_binary_dataset(notes, morbidity)
-        positive = sum(r.label for r in dataset.records)
-        total = len(dataset.records)
-        labeled = sum(1 for n in notes if morbidity in n.labels)
-        rows.append(
-            MorbiditySummary(
-                morbidity=morbidity,
-                total=total,
-                positive=positive,
-                negative=total - positive,
-                excluded=labeled - total,
-            )
-        )
-    return CorpusSummary(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

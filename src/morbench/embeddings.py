@@ -43,10 +43,6 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.rows.shape[1]
 
-    @property
-    def vocab_size(self) -> int:
-        return self.rows.shape[0] - 1
-
 
 @dataclass(frozen=True)
 class SkipgramConfig:

@@ -246,8 +246,12 @@ class ExperimentConfig:
                 continue
             if not _has_type(kind, value):
                 raise ConfigError(f"config key {key!r} must be {_TYPE_NAMES[kind]}")
-            value = kind(value)  # file numbers become floats, lists become tuples
-            if f.metadata["ok"] is not None and not f.metadata["ok"](value):
+            try:
+                value = kind(value)  # file numbers become floats, lists become tuples
+                ok = f.metadata["ok"] is None or f.metadata["ok"](value)
+            except OverflowError:  # an integer too large for a float
+                ok = False
+            if not ok:
                 raise ConfigError(f"{key} must be {f.metadata['rule']}, got {value!r}")
             object.__setattr__(self, f.name, value)
 

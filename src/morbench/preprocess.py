@@ -98,7 +98,6 @@ def compute_max_len(token_counts: list[int]) -> LengthPolicy:
 @dataclass(frozen=True)
 class EncodedDoc:
     indices: tuple[int, ...]  # length == policy.max_len
-    original_length: int
 
 
 def pad_truncate(indices: list[int], policy: LengthPolicy) -> EncodedDoc:
@@ -107,7 +106,7 @@ def pad_truncate(indices: list[int], policy: LengthPolicy) -> EncodedDoc:
         raise ValueError("max_len must be >= 1")
     fixed = list(indices[: policy.max_len])
     fixed.extend([PAD_INDEX] * (policy.max_len - len(fixed)))
-    return EncodedDoc(indices=tuple(fixed), original_length=len(indices))
+    return EncodedDoc(indices=tuple(fixed))
 
 
 def filter_for_tfidf(tokens: list[str], stopwords: set[str]) -> list[str]:

@@ -32,10 +32,6 @@ class TfidfModel:
             idfs[col] = math.log(self.corpus_size / self.doc_freq[word])
         object.__setattr__(self, "idfs", tuple(idfs))
 
-    @property
-    def words(self) -> list[str]:
-        return sorted(self.columns, key=self.columns.get)
-
 
 def fit(token_lists: list[list[str]]) -> TfidfModel:
     """Fit document frequencies over the full vocabulary of the corpus."""

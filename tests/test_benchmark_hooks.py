@@ -2,11 +2,12 @@
 
 benchmarks/tracing.py rebinds named functions in named modules and refuses to
 run when one is missing, reads package objects out of the traced calls'
-arguments and results, and every benchmark run loads its workload's config
-through the package's config checks; this checks all three in seconds, so a
-refactor that drops a hook target, renames a parameter key, changes a return
-shape or adds a range rule that rejects a workload config fails here before
-the benchmark's own smoke test.
+arguments and results, refuses a traced run in which a span its workload
+expects never fired, and every benchmark run loads its workload's config
+through the package's config checks; this checks all four in seconds, so a
+refactor that drops a hook target, stops calling one, renames a parameter key,
+changes a return shape or adds a range rule that rejects a workload config
+fails here before the benchmark's own smoke test.
 """
 
 import importlib
@@ -131,6 +132,16 @@ def test_span_attributes_read_real_package_objects(monkeypatch, tmp_path):
         ("embeddings.train_skipgram", "pairs"),
     ):
         assert all(a[key] > 0 for a in attrs[name]), name
+
+    # every span a workload's traced run must fire, but those only the CLI calls
+    cli_only = {
+        "corpus.load_corpus",
+        "corpus.build_binary_dataset",
+        "eval.run_experiment",
+        "eval.render_report_markdown",
+    }
+    for wl in importlib.import_module("workloads").build_workloads("tiny").values():
+        assert sorted(set(wl.expected) - cli_only - set(attrs)) == [], wl.name
 
     metrics = tracing.layer_metrics(spans, tuple(attrs), jobs=1)
     assert metrics["eval.folds"] == k * len(REPRESENTATIONS)

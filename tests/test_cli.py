@@ -1,9 +1,13 @@
 """End-to-end command line tests, run in-process through main(argv)."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morbench import __version__
 from morbench.cli import main
@@ -81,6 +85,27 @@ def test_prepare_builds_dataset_files(workspace, capsys):
     assert (out / "dataset_cad.jsonl").read_text() == ""
     table = capsys.readouterr().out
     assert "morbidity" in table and "Gout" in table
+
+
+def test_prepare_counts_notes_with_no_usable_label_as_excluded(workspace, capsys):
+    notes = [
+        {"id": "a", "text": "t", "labels": {"Asthma": {"textual": "Y"}, "Gout": {"textual": "U"}}},
+        {"id": "b", "text": "t", "labels": {"Asthma": {"intuitive": "N"}}},
+        {"id": "c", "text": "t", "labels": {"Asthma": {"textual": "Q", "intuitive": "Q"}}},
+    ]
+    corpus = workspace / "three.jsonl"
+    corpus.write_text("".join(json.dumps(n) + "\n" for n in notes), encoding="utf-8")
+    out = workspace / "prepared"
+    assert main(["prepare", str(corpus), "--out", str(out)]) == 0
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert len(summary) == 17  # the header and the 16 canonical morbidities
+    assert {"Asthma,2,1,1,1", "Gout,0,0,0,1", "CAD,0,0,0,0"} <= set(summary)
+    asthma = (out / "dataset_asthma.jsonl").read_text().splitlines()
+    assert [json.loads(line)["note_id"] for line in asthma] == ["a", "b"]
+    table = capsys.readouterr().out.splitlines()
+    assert table[0].split() == ["morbidity", "total", "positive", "negative", "excluded"]
+    assert table[1].split() == ["Asthma", "2", "1", "1", "1"]
+    assert table[8].split() == ["Gout", "0", "0", "0", "1"]  # canonical order
 
 
 def test_run_pipeline_and_outputs(workspace, capsys):
@@ -230,9 +255,12 @@ def test_train_embeddings_writes_loadable_vectors(workspace, capsys):
     assert table.rows.shape == (len(vocab) + 1, 8)
 
 
-def test_train_embeddings_on_an_empty_corpus_is_a_usage_error(workspace, capsys):
+@pytest.mark.parametrize(
+    "text", ["", '{"id": "a", "text": "!!! ???"}\n'], ids=["no-notes", "no-tokens"]
+)
+def test_train_embeddings_on_an_empty_corpus_is_a_usage_error(workspace, capsys, text):
     empty = workspace / "empty.jsonl"
-    empty.write_text("", encoding="utf-8")
+    empty.write_text(text, encoding="utf-8")
     out = workspace / "vectors.txt"
     assert main(["train-embeddings", str(empty), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -298,6 +326,7 @@ def test_out_of_range_model_size_is_a_usage_error(workspace, capsys, key, value)
         ("eval.weighted_f1", None),
         ("svm.lambda", float("nan")),
         ("rmsprop.learning_rate", float("inf")),
+        ("svm.lambda", 10**400),  # an integer no float can hold
     ],
 )
 def test_out_of_range_or_null_setting_is_a_usage_error(workspace, capsys, key, value):
@@ -312,8 +341,13 @@ def test_out_of_range_or_null_setting_is_a_usage_error(workspace, capsys, key, v
     assert not out.exists()
 
 
-def test_bad_spec_json_is_a_usage_error(workspace, capsys):
-    (workspace / "broken.json").write_text("{not json", encoding="utf-8")
+@pytest.mark.parametrize(
+    "text",
+    ["{not json", '{"noise_vocab_size": ' + "1" * 5000 + "}", "[" * 100_000 + "]" * 100_000],
+    ids=["malformed", "long-integer", "deep-nesting"],
+)
+def test_bad_spec_json_is_a_usage_error(workspace, capsys, text):
+    (workspace / "broken.json").write_text(text, encoding="utf-8")
     code = main(["synth", "--spec", str(workspace / "broken.json"), "--out", "x.jsonl"])
     assert code == 2
     assert "not valid JSON" in capsys.readouterr().err
@@ -439,6 +473,62 @@ def test_non_utf8_vector_file_is_a_usage_error(workspace, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "latin1.vec" in err and "UTF-8" in err and "internal error" not in err
+
+
+# Strings for the corpus fuzz below may hold unpaired surrogates, which JSON
+# spells as escapes such as \ud800 and which a file holds only as bytes that
+# are not UTF-8.
+_FUZZ_CHARS = st.characters() | st.sampled_from(" !éxyz\ud800")
+_FUZZ_TEXT = st.text(_FUZZ_CHARS, max_size=8)
+_FUZZ_NAME = st.text(_FUZZ_CHARS, min_size=1, max_size=8)
+_FUZZ_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _FUZZ_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_FUZZ_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+_UNREADABLE_LINES = ['{"id": "a", "text": "t", "n": ' + "1" * 5000 + "}", "[" * 100_000]
+
+
+@st.composite
+def _fuzz_line(draw) -> str:
+    """One corpus line: text that is mostly not JSON, a line json.loads cannot
+    read, any JSON value, or (most often) a note in which every field, label
+    pair and label is well formed seven times in eight and any JSON value otherwise."""
+
+    def usually(valid):
+        return draw(_FUZZ_JSON if draw(st.integers(0, 7)) == 7 else valid)
+
+    shape = draw(st.integers(0, 15))
+    if shape == 0:
+        return draw(_FUZZ_TEXT)
+    if shape == 1:
+        return draw(st.sampled_from(_UNREADABLE_LINES))
+    if shape == 2:
+        return json.dumps(draw(_FUZZ_JSON))
+    labels = {}
+    for _ in range(draw(st.integers(0, 3))):
+        kinds = draw(st.sets(st.sampled_from(["textual", "intuitive"]), max_size=2))
+        if draw(st.integers(0, 15)) == 15:
+            kinds.add("other")
+        pair = {kind: usually(st.sampled_from(["Y", "N", "U", "Q"])) for kind in kinds}
+        morbidity = usually(st.sampled_from(["Gout", "gout", "CAD", ""]) | _FUZZ_NAME)
+        labels[str(morbidity)] = usually(st.just(pair))
+    note = {
+        "id": usually(st.sampled_from(["a", "b", "c"]) | _FUZZ_NAME),
+        "text": usually(_FUZZ_TEXT),
+        "labels": usually(st.just(labels)),
+    }
+    # one time in eight a surrogate is written raw, so the file is not UTF-8
+    return json.dumps(note, ensure_ascii=draw(st.integers(0, 7)) < 7)
+
+
+@settings(max_examples=300)
+@given(st.lists(_fuzz_line(), max_size=4))
+def test_prepare_exits_0_or_2_on_any_json_lines_input(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus.jsonl"
+        corpus.write_text("\n".join(lines), encoding="utf-8", errors="surrogatepass")
+        assert main(["prepare", str(corpus), "--out", str(Path(tmp) / "out")]) in (0, 2)
 
 
 def test_unexpected_exception_maps_to_exit_one(workspace, monkeypatch, capsys):

@@ -16,7 +16,6 @@ from morbench.corpus import (
     marker_token,
     merge_partitions,
     note_to_json,
-    summarize,
     synthetic_spec_from_dict,
     write_corpus,
 )
@@ -48,10 +47,22 @@ def test_round_trip(tmp_path):
     assert load_corpus(path) == notes
 
 
-def test_load_corpus_bad_json_names_line(tmp_path):
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("{not json", "invalid JSON"),
+        ("[" * 100_000 + "]" * 100_000, "invalid JSON"),
+        ('{"id": "x", "text": "t", "n": ' + "1" * 5000 + "}", "invalid JSON"),
+        ('{"id": "x\\ud800", "text": "t"}', "unpaired surrogate"),
+        ('{"id": "x", "text": "a \\udfff b"}', "unpaired surrogate"),
+        ('{"id": "x", "text": "t", "labels": {"\\ud83d": {"textual": "Y"}}}', "unpaired surrogate"),
+    ],
+    ids=["malformed", "deep", "long-integer", "surrogate-id", "surrogate-text", "surrogate-label"],
+)
+def test_load_corpus_bad_json_names_line(tmp_path, line, message):
     path = tmp_path / "c.jsonl"
-    path.write_text(note_to_json(_note("a")) + "\n{not json\n", encoding="utf-8")
-    with pytest.raises(CorpusError, match="line 2"):
+    path.write_text(note_to_json(_note("a")) + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"line 2: .*{message}"):
         load_corpus(path)
 
 
@@ -62,11 +73,14 @@ def test_load_corpus_duplicate_id_cites_both_lines(tmp_path):
         load_corpus(path)
 
 
-def test_load_corpus_bad_label_symbol(tmp_path):
+@pytest.mark.parametrize(
+    "kind, value", [("textual", "maybe"), ("textual", ["Y"]), ("intuitive", {"a": 1})]
+)
+def test_load_corpus_bad_label_symbol(tmp_path, kind, value):
     path = tmp_path / "c.jsonl"
-    row = {"id": "x", "text": "t", "labels": {"Gout": {"textual": "maybe"}}}
+    row = {"id": "x", "text": "t", "labels": {"Gout": {kind: value}}}
     path.write_text(json.dumps(row) + "\n")
-    with pytest.raises(CorpusError, match="Gout"):
+    with pytest.raises(CorpusError, match=rf"line 1: {kind} label .* 'Gout'"):
         load_corpus(path)
 
 
@@ -116,23 +130,6 @@ def test_merge_partitions_rejects_cross_partition_duplicates():
         merge_partitions([a, b])
     merged = merge_partitions([[_note("x")], [_note("y")]])
     assert [n.id for n in merged] == ["x", "y"]
-
-
-def test_summarize_matches_dataset_counts():
-    notes = [
-        _note("a", Asthma={"textual": "Y"}, Gout={"textual": "U"}),
-        _note("b", Asthma={"intuitive": "N"}),
-        _note("c", Asthma={"textual": "Q", "intuitive": "Q"}),
-    ]
-    summary = summarize(notes, ["Asthma", "Gout"])
-    by_name = {r.morbidity: r for r in summary.rows}
-    asthma = by_name["Asthma"]
-    ds = build_binary_dataset(notes, "Asthma")
-    assert asthma.total == len(ds.records) == 2
-    assert asthma.positive == 1 and asthma.negative == 1
-    assert asthma.excluded == 1
-    gout = by_name["Gout"]
-    assert gout.total == 0 and gout.excluded == 1
 
 
 # ---------------------------------------------------------------------------

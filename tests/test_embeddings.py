@@ -142,7 +142,7 @@ def test_padding_row_stays_zero():
     vocab = build_vocabulary(TOY_DOCS)
     table, _ = train_skipgram(TOY_DOCS, vocab, SkipgramConfig(dim=6, window=2, epochs=3, seed=0))
     assert np.all(table.rows[0] == 0.0)
-    assert table.vocab_size == len(vocab)
+    assert table.rows.shape == (len(vocab) + 1, 6)
     assert table.dim == 6
 
 

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from morbench.corpus import (
     DatasetRecord,
@@ -166,6 +168,22 @@ def test_fold_split_is_seed_deterministic():
     assert a != c
 
 
+@given(st.lists(st.integers(0, 2), min_size=2, max_size=60), st.data(), st.integers(0, 2**63 - 1))
+def test_fold_properties_for_any_labels_k_and_seed(labels, data, seed):
+    n = len(labels)
+    k = data.draw(st.integers(2, n), label="k")
+    folds = stratified_kfold(labels, k, seed)
+    assert [f.fold for f in folds] == list(range(k))
+    assert sorted(i for f in folds for i in f.test_indices) == list(range(n))  # each index once
+    for f in folds:
+        assert f.train_indices == tuple(i for i in range(n) if i not in f.test_indices)
+    groups = [range(n)] + [[i for i in range(n) if labels[i] == c] for c in set(labels)]
+    for members in groups:  # total and per-class test sizes
+        sizes = [len(set(f.test_indices).intersection(members)) for f in folds]
+        assert max(sizes) - min(sizes) <= 1
+    assert stratified_kfold(labels, k, seed) == folds
+
+
 def test_fold_argument_validation():
     with pytest.raises(ValueError, match="at least 2"):
         stratified_kfold([0, 1, 0, 1], 1, seed=0)
@@ -187,6 +205,39 @@ def test_config_round_trip_through_flat_dict():
     )
     rebuilt = config_from_dict(config_to_dict(config))
     assert rebuilt == config
+
+
+_ANY_CONFIG_VALUE = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+_PLAUSIBLE_CONFIG_VALUE = {  # by the type of the key's default
+    bool: st.booleans(),
+    int: st.integers(1, 400),
+    float: st.floats(0, 1) | st.integers(1, 5),
+    str: st.sampled_from(["fold", "corpus"]),
+    list: st.lists(st.sampled_from(REPRESENTATIONS), max_size=4),
+    type(None): st.text(max_size=5) | st.lists(st.text(max_size=5), max_size=3),
+}
+
+
+@st.composite
+def _config_dicts(draw) -> dict:
+    """A flat config dict; seven values in eight are of the key's type and mostly in range."""
+    defaults = default_config_dict()
+    raw = {}
+    for key in draw(st.lists(st.sampled_from(sorted(defaults)), unique=True, max_size=6)):
+        plausible = _PLAUSIBLE_CONFIG_VALUE[type(defaults[key])]
+        raw[key] = draw(plausible if draw(st.integers(0, 7)) < 7 else _ANY_CONFIG_VALUE)
+    return raw
+
+
+@given(_config_dicts())
+def test_every_accepted_config_dict_survives_config_to_dict(raw):
+    try:
+        config = config_from_dict(raw)
+    except ConfigError:
+        return
+    flat = config_to_dict(config)
+    assert {key: flat[key] for key in raw} == raw
+    assert config_from_dict(json.loads(json.dumps(flat))) == config
 
 
 def test_default_config_dict_covers_every_key():
@@ -242,6 +293,7 @@ def test_config_semantic_validation():
         ("rms_rho", -0.1, "rmsprop.rho"),
         ("weighted_f1", None, "eval.weighted_f1"),
         ("mlp_batch", True, "mlp.batch_size"),
+        ("svm_lambda", 10**400, "svm.lambda"),  # too large for a float
     ],
 )
 def test_direct_construction_checks_every_rule(field, value, key):

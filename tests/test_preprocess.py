@@ -87,10 +87,9 @@ def test_pad_truncate():
     policy = compute_max_len([4, 4])  # max_len 4
     assert policy.max_len == 4
     short = pad_truncate([7, 8], policy)
-    assert short == EncodedDoc(indices=(7, 8, 0, 0), original_length=2)
+    assert short == EncodedDoc(indices=(7, 8, 0, 0))
     long = pad_truncate([1, 2, 3, 4, 5, 6], policy)
     assert long.indices == (1, 2, 3, 4)  # head kept, tail dropped
-    assert long.original_length == 6
     exact = pad_truncate([9, 9, 9, 9], policy)
     assert exact.indices == (9, 9, 9, 9)
 

@@ -30,7 +30,7 @@ def oracle_tfidf(docs: list[list[str]]) -> list[dict[str, float]]:
 
 
 def as_word_weights(row, model) -> dict[str, float]:
-    words = model.words
+    words = sorted(model.columns, key=model.columns.get)
     return {words[col]: w for col, w in row}
 
 
@@ -93,7 +93,7 @@ def test_full_vocabulary_is_feature_space():
     docs = [["a", "b"], ["c"], ["a", "d", "e"]]
     model = fit(docs)
     assert tfidf_matrix(docs, model).shape == (3, 5)  # every distinct token is a column
-    assert model.words == sorted(["a", "b", "c", "d", "e"])  # lexicographic columns
+    assert model.columns == {w: i for i, w in enumerate("abcde")}  # lexicographic columns
 
 
 def test_row_normalization():
@@ -134,7 +134,7 @@ def test_deterministic_and_column_order():
     docs = [["b", "a"], ["a"]]
     m1, m2 = fit(docs), fit(docs)
     assert m1 == m2
-    assert m1.words == ["a", "b"]
+    assert m1.columns == {"a": 0, "b": 1}
     np.testing.assert_array_equal(tfidf_matrix(docs, m1), tfidf_matrix(docs, m2))
 
 
