@@ -150,6 +150,12 @@ def cmd_prepare(args) -> int:
     notes = _load_notes(args.corpus)
     labeled = Counter(m for note in notes for m in note.labels)
     morbidities = order_morbidities(set(MORBIDITIES) | set(labeled))
+    by_slug: dict[str, str] = {}
+    for m in morbidities:
+        slug = _slug(m)
+        other = by_slug.setdefault(slug, m)
+        if other != m:
+            raise CorpusError(f"morbidities {other!r} and {m!r} would share dataset_{slug}.jsonl")
     outdir = _make_dir(_resolve_out(args.out))
 
     pairs: list[tuple[Path, str]] = []
@@ -175,6 +181,8 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train_embeddings(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     token_lists = [tokenize(normalize_text(note.text)) for note in _load_notes(args.corpus)]
     vocab = build_vocabulary(token_lists)
     if not vocab:

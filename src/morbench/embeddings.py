@@ -9,9 +9,14 @@ line is split and checked, so the table, the OOV count and every error are
 the same as if all lines were split. The trainer implements
 skip-gram with negative sampling from scratch; per-pair loss
 ``-log s(u_o.v_c) - sum_k log s(-u_k.v_c)`` optimized by plain SGD with a
-linearly decaying learning rate. Each pair step computes ``u_o.v_c`` and
-``u_neg @ v_c`` once and derives the loss and every gradient from them
-(``pair_loss_and_gradients``); a document's negatives are drawn in one call.
+linearly decaying learning rate. A document's negatives are drawn in one
+call, and its (context, negatives) row matrix, learning rates and
+repeated-row flags are built at once. Each pair step gathers its k+1 context
+rows once, scores them with one ddot and one gemv (``pair_scores``), takes
+one sigmoid over the k+1 scores for every gradient (``pair_gradients``) and
+writes the k+1 rows back at once, through ``np.subtract.at`` when a row
+repeats. The loss is summed once per document from the kept scores
+(``pair_loss``); the table does not depend on it.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -54,10 +60,13 @@ class SkipgramConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 1 or self.window < 1 or self.epochs < 1 or self.negatives < 1:
-            raise ValueError("dim, window, epochs and negatives must all be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        for name in ("dim", "window", "epochs", "negatives", "seed"):
+            value, least = getattr(self, name), 0 if name == "seed" else 1
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, Real) or not math.isfinite(lr) or lr <= 0:
+            raise ValueError(f"learning_rate must be a finite number > 0, got {lr!r}")
 
 
 def load_pretrained(path, vocab: Vocabulary, dim: int) -> tuple[EmbeddingTable, int]:
@@ -145,30 +154,35 @@ def save_vectors(table: EmbeddingTable, vocab: Vocabulary, path) -> None:
             fh.write(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
 
 
-def _log_sigmoid(x: float) -> float:
-    if x >= 0:
-        return -math.log1p(math.exp(-x))
-    return x - math.log1p(math.exp(x))
+def pair_scores(v_c: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``u_o.v_c`` and ``u_neg @ v_c`` into ``out`` for rows ``[u_o, u_neg...]``.
 
-
-def pair_loss_and_gradients(v_c: np.ndarray, u_o: np.ndarray, u_neg: np.ndarray):
-    """Loss of one (center, context) pair with k negatives, and its gradients.
-
-    Returns ``(loss, (g_v, g_uo, g_uneg))``: the gradients are w.r.t. v_c, u_o
-    and each negative u_k. Both come from one ``u_o.v_c`` and one
-    ``u_neg @ v_c``.
+    One ddot and one gemv: a single gemv over all k+1 rows need not give the
+    same bits for ``u_o.v_c``.
     """
-    pos = float(u_o @ v_c)
-    neg = u_neg @ v_c  # shape (k,)
-    loss = -_log_sigmoid(pos)
-    for x in neg.tolist():
-        loss -= _log_sigmoid(-x)
-    pos_err = sigmoid(pos) - 1.0  # in (-1, 0)
-    neg_err = sigmoid(neg)
-    g_v = pos_err * u_o + neg_err @ u_neg
-    g_uo = pos_err * v_c
-    g_uneg = neg_err[:, None] * v_c[None, :]
-    return loss, (g_v, g_uo, g_uneg)
+    out[0] = rows[0].dot(v_c)
+    rows[1:].dot(v_c, out=out[1:])
+    return out
+
+
+def pair_loss(scores: np.ndarray) -> float:
+    """``-log s(u_o.v_c) - sum_k log s(-u_k.v_c)`` summed over every pair of
+    ``scores``, whose last axis holds ``[u_o.v_c, u_1.v_c, ...]``."""
+    z = np.array(scores, dtype=float)
+    z[..., 0] *= -1.0
+    return float(np.logaddexp(0.0, z).sum())
+
+
+def pair_gradients(v_c: np.ndarray, rows: np.ndarray, scores: np.ndarray):
+    """Gradients of one pair's loss from its scores: ``(g_v, G)``.
+
+    ``g_v`` is w.r.t. v_c and row i of ``G`` w.r.t. ``rows[i]`` (the context,
+    then each negative).
+    """
+    err = sigmoid(scores)
+    err[0] -= 1.0  # in (-1, 0)
+    g_v = err[0] * rows[0] + err[1:].dot(rows[1:])
+    return g_v, err[:, None] * v_c
 
 
 def negative_sampling_cumulative(counts: np.ndarray) -> np.ndarray:
@@ -182,6 +196,16 @@ def negative_sampling_cumulative(counts: np.ndarray) -> np.ndarray:
     if total <= 0:
         raise ValueError("no word occurrences to sample negatives from")
     return np.cumsum(weights / total)
+
+
+def _pair_positions(n: int, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """(center, context) positions of an n-token document in visiting order:
+    centers in order, each with its offsets -window..window but 0."""
+    offsets = np.array([o for o in range(-window, window + 1) if o])
+    i = np.repeat(np.arange(n), len(offsets))
+    j = i + np.tile(offsets, n)
+    keep = (j >= 0) & (j < n)
+    return i[keep], j[keep]
 
 
 def train_skipgram(
@@ -209,19 +233,10 @@ def train_skipgram(
         centers[1:] = (rng.random((V, dim)) - 0.5) / dim
     contexts = np.zeros((V + 1, dim))
 
-    docs = [encode(tokens, vocab) for tokens in token_lists]
-    counts = np.zeros(V + 1)
-    for doc in docs:
-        for idx in doc:
-            counts[idx] += 1
+    docs = [np.array(encode(tokens, vocab), dtype=np.intp) for tokens in token_lists]
+    counts = np.bincount(np.concatenate(docs), minlength=V + 1).astype(float)
 
-    doc_pairs = []
-    for doc in docs:
-        n = len(doc)
-        doc_pairs.append(
-            sum(min(n, i + config.window + 1) - max(0, i - config.window) - 1 for i in range(n))
-        )
-    pairs_per_epoch = sum(doc_pairs)
+    pairs_per_epoch = sum(len(_pair_positions(len(doc), config.window)[0]) for doc in docs)
     total_updates = pairs_per_epoch * config.epochs
     if total_updates == 0:
         return EmbeddingTable(rows=centers), []
@@ -234,34 +249,34 @@ def train_skipgram(
     t = 0
     for _ in range(config.epochs):
         epoch_loss = 0.0
-        for doc, n_pairs in zip(docs, doc_pairs):
+        for doc in docs:
+            i, j = _pair_positions(len(doc), config.window)
+            pair_centers, pair_contexts, n_pairs = doc[i], doc[j], len(i)
             # one draw per document is the same stream as k draws per pair;
             # indices 1..V, so the padding row is never sampled
-            doc_negs = (np.searchsorted(cumulative, rng.random(n_pairs * k)) + 1).reshape(-1, k)
-            p = 0
-            n = len(doc)
-            for i in range(n):
-                center = doc[i]
-                lo, hi = max(0, i - config.window), min(n, i + config.window + 1)
-                for j in range(lo, hi):
-                    if j == i:
-                        continue
-                    context = doc[j]
-                    negs = doc_negs[p]
-                    if total_updates > 1:
-                        lr = lr0 * (1.0 - 0.9 * t / (total_updates - 1))
-                    else:
-                        lr = lr0
-                    v_c = centers[center]
-                    u_o = contexts[context]
-                    loss, (g_v, g_uo, g_uneg) = pair_loss_and_gradients(v_c, u_o, contexts[negs])
-                    epoch_loss += loss
-                    v_c -= lr * g_v  # views: these update the tables in place
-                    u_o -= lr * g_uo
-                    # repeated negatives must accumulate
-                    np.subtract.at(contexts, negs, lr * g_uneg)
-                    p += 1
-                    t += 1
+            negs = (np.searchsorted(cumulative, rng.random(n_pairs * k)) + 1).reshape(-1, k)
+            all_rows = np.column_stack([pair_contexts, negs])  # [context, negatives...]
+            ordered = np.sort(all_rows, axis=1)
+            repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1).tolist()
+            steps = np.arange(t, t + n_pairs)
+            lrs = (lr0 * (1.0 - 0.9 * steps / max(total_updates - 1, 1))).tolist()
+            t += n_pairs
+            scores = np.empty((n_pairs, k + 1))
+            for center, rows, lr, repeat, s in zip(
+                pair_centers.tolist(), all_rows, lrs, repeats, scores
+            ):
+                v_c = centers[center]
+                U = contexts.take(rows, axis=0)
+                g_v, G = pair_gradients(v_c, U, pair_scores(v_c, U, s))
+                v_c -= lr * g_v  # a view: this updates the table in place
+                G *= lr
+                # np.subtract.at alone gives the same bits but costs about 28% more
+                # per pair (numpy 2.4), so only pairs that repeat a row take it
+                if repeat:  # repeated rows must accumulate, in row order
+                    np.subtract.at(contexts, rows, G)
+                else:
+                    contexts[rows] = U - G
+            epoch_loss += pair_loss(scores)
         epoch_losses.append(epoch_loss / pairs_per_epoch)
     centers[PAD_ROW] = 0.0
     return EmbeddingTable(rows=centers), epoch_losses

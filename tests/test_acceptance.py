@@ -27,7 +27,7 @@ from morbench.corpus import (
     build_binary_dataset,
     generate_synthetic_corpus,
 )
-from morbench.embeddings import pair_loss_and_gradients, random_table
+from morbench.embeddings import pair_gradients, pair_loss, pair_scores, random_table
 from morbench.eval import (
     ExperimentConfig,
     f1_score,
@@ -141,10 +141,12 @@ def test_criterion_3_gradient_suite():
         v_c = rng.standard_normal(dim) * 0.5
         u_o = rng.standard_normal(dim) * 0.5
         u_neg = rng.standard_normal((k, dim)) * 0.5
-        _, (g_v, g_uo, g_uneg) = pair_loss_and_gradients(v_c, u_o, u_neg)
+        rows = np.vstack([u_o, u_neg])
+        g_v, G = pair_gradients(v_c, rows, pair_scores(v_c, rows, np.empty(k + 1)))
+        g_uo, g_uneg = G[0], G[1:]
 
         def loss():
-            return pair_loss_and_gradients(v_c, u_o, u_neg)[0]
+            return pair_loss(pair_scores(v_c, np.vstack([u_o, u_neg]), np.empty(k + 1)))
 
         assert _rel_error(g_v, _central_diff(loss, v_c)) < 1e-5
         assert _rel_error(g_uo, _central_diff(loss, u_o)) < 1e-5

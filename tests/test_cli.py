@@ -108,6 +108,20 @@ def test_prepare_counts_notes_with_no_usable_label_as_excluded(workspace, capsys
     assert table[8].split() == ["Gout", "0", "0", "0", "1"]  # canonical order
 
 
+@pytest.mark.parametrize(
+    "names", [("Gout", "gout"), ("!!!", "???")], ids=["case", "empty-slug"]
+)
+def test_prepare_refuses_morbidities_that_share_a_file(workspace, capsys, names):
+    notes = [{"id": m, "text": "t", "labels": {m: {"textual": "Y"}}} for m in names]
+    corpus = workspace / "clash.jsonl"
+    corpus.write_text("".join(json.dumps(n) + "\n" for n in notes), encoding="utf-8")
+    out = workspace / "prepared"
+    assert main(["prepare", str(corpus), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(repr(m) in err for m in names) and "internal error" not in err
+    assert not out.exists()
+
+
 def test_run_pipeline_and_outputs(workspace, capsys):
     corpus = _synth(workspace)
     out = workspace / "results"
@@ -265,6 +279,15 @@ def test_train_embeddings_on_an_empty_corpus_is_a_usage_error(workspace, capsys,
     assert main(["train-embeddings", str(empty), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "empty.jsonl" in err and "no notes" in err and "internal error" not in err
+    assert not out.exists()
+
+
+def test_train_embeddings_negative_seed_is_a_usage_error(workspace, capsys):
+    corpus = _synth(workspace)
+    out = workspace / "vectors.txt"
+    assert main(["train-embeddings", str(corpus), "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "internal error" not in err
     assert not out.exists()
 
 

@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morbench import embeddings
 from morbench.embeddings import (
     SkipgramConfig,
     load_pretrained,
     negative_sampling_cumulative,
-    pair_loss_and_gradients,
+    pair_gradients,
+    pair_loss,
+    pair_scores,
     random_table,
     save_vectors,
     train_skipgram,
@@ -37,7 +40,13 @@ def test_pair_gradients_match_finite_differences():
         v_c = rng.normal(scale=0.7, size=dim)
         u_o = rng.normal(scale=0.7, size=dim)
         u_neg = rng.normal(scale=0.7, size=(k, dim))
-        _, (g_v, g_uo, g_uneg) = pair_loss_and_gradients(v_c, u_o, u_neg)
+        rows = np.vstack([u_o, u_neg])
+        g_v, G = pair_gradients(v_c, rows, pair_scores(v_c, rows, np.empty(k + 1)))
+        g_uo, g_uneg = G[0], G[1:]
+
+        def loss():
+            return pair_loss(pair_scores(v_c, np.vstack([u_o, u_neg]), np.empty(k + 1)))
+
         for target, grad in ((v_c, g_v), (u_o, g_uo), (u_neg, g_uneg)):
             fd = np.zeros_like(target)
             it = np.nditer(target, flags=["multi_index"])
@@ -45,9 +54,9 @@ def test_pair_gradients_match_finite_differences():
                 i = it.multi_index
                 old = target[i]
                 target[i] = old + h
-                up = pair_loss_and_gradients(v_c, u_o, u_neg)[0]
+                up = loss()
                 target[i] = old - h
-                down = pair_loss_and_gradients(v_c, u_o, u_neg)[0]
+                down = loss()
                 target[i] = old
                 fd[i] = (up - down) / (2 * h)
                 it.iternext()
@@ -125,6 +134,94 @@ def test_train_matches_per_pair_reference(config):
     assert len(losses) == len(want_losses)
     for got, want in zip(losses, want_losses):
         assert abs(got - want) <= 1e-12 * abs(want)
+
+
+_WORDS6 = ["cat", "dog", "pet", "rock", "sand", "tree"]
+
+
+@st.composite
+def _small_corpus(draw):
+    """1-6 words, so repeated rows and context == negative are common; empty and
+    one-token documents included, and one document of >= 2 tokens so pairs exist."""
+    words = _WORDS6[: draw(st.integers(1, 6))]
+    doc = st.lists(st.sampled_from(words), max_size=9)
+    docs = draw(st.lists(doc, max_size=4))
+    at = draw(st.integers(0, len(docs)))
+    docs.insert(at, draw(st.lists(st.sampled_from(words), min_size=2, max_size=9)))
+    config = SkipgramConfig(
+        dim=draw(st.integers(1, 7)),
+        window=draw(st.integers(1, 4)),
+        epochs=draw(st.integers(1, 3)),
+        negatives=draw(st.integers(1, 8)),
+        learning_rate=draw(st.sampled_from([0.025, 0.25])),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return docs, config
+
+
+@settings(max_examples=300)
+@given(_small_corpus())
+def test_train_matches_per_pair_reference_on_small_vocabularies(case):
+    docs, config = case
+    vocab = build_vocabulary(docs)
+    table, losses = train_skipgram(docs, vocab, config)
+    want_rows, want_losses = _reference_skipgram(docs, vocab, config)
+    assert np.array_equal(table.rows, want_rows)
+    assert len(losses) == len(want_losses)
+    for got, want in zip(losses, want_losses):
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+class _CountingSubtractAt:
+    """Stands in for numpy in the embeddings module and counts ``np.subtract.at`` calls."""
+
+    def __init__(self):
+        self.calls = 0
+        self.subtract = self
+
+    def at(self, *args):
+        self.calls += 1
+        return np.subtract.at(*args)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_train_uses_both_write_back_paths(monkeypatch):
+    # six words and two negatives: some pairs repeat a row, others do not
+    docs = [["cat", "dog", "pet", "rock", "sand", "tree", "dog", "cat"]] * 3
+    vocab = build_vocabulary(docs)
+    config = SkipgramConfig(dim=5, window=2, epochs=2, negatives=2, seed=8)
+    counting = _CountingSubtractAt()
+    monkeypatch.setattr(embeddings, "np", counting)
+    table, _ = train_skipgram(docs, vocab, config)
+    monkeypatch.undo()
+    pairs = 2 * 3 * 26  # epochs x documents x pairs in an 8-word document at window 2
+    assert 0 < counting.calls < pairs  # repeated rows accumulate; the rest are assigned
+    assert np.array_equal(table.rows, _reference_skipgram(docs, vocab, config)[0])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dim", 0),
+        ("window", 1.5),
+        ("window", True),
+        ("epochs", 0),
+        ("negatives", -2),
+        ("negatives", "5"),
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("learning_rate", 0.0),
+        ("learning_rate", -0.1),
+        ("learning_rate", True),
+        ("seed", -1),
+        ("seed", 2.0),
+    ],
+)
+def test_skipgram_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        SkipgramConfig(**{field: value})
 
 
 def test_train_deterministic():
