@@ -41,7 +41,6 @@ from morbench.eval import (
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
-    default_config_dict,
     order_morbidities,
     raw_rows,
     render_report_csv,
@@ -205,7 +204,7 @@ def cmd_train_embeddings(args) -> int:
 
 def cmd_run(args) -> int:
     if args.print_default_config:
-        print(json.dumps(default_config_dict(), indent=2, sort_keys=True))
+        print(json.dumps(config_to_dict(ExperimentConfig()), indent=2, sort_keys=True))
         return 0
     if not args.corpus:
         raise ConfigError("a corpus file is required (or use --print-default-config)")

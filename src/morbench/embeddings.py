@@ -30,9 +30,7 @@ import numpy as np
 
 from morbench.errors import VectorFileError
 from morbench.models.training import sigmoid
-from morbench.preprocess import Vocabulary, encode
-
-PAD_ROW = 0
+from morbench.preprocess import PAD_INDEX, Vocabulary, encode
 
 # A compiled search finds "  " in a 100-value line faster than `in` does
 # (about 1.0 against 1.35 us on a 2-vCPU Xeon VM, Python 3.11).
@@ -270,21 +268,21 @@ def train_skipgram(
                 g_v, G = pair_gradients(v_c, U, pair_scores(v_c, U, s))
                 v_c -= lr * g_v  # a view: this updates the table in place
                 G *= lr
-                # np.subtract.at alone gives the same bits but costs about 28% more
-                # per pair (numpy 2.4), so only pairs that repeat a row take it
+                # np.subtract.at alone gives the same bits but made vectors_seq run_s
+                # 11% slower (BENCH_14.json), so only pairs that repeat a row take it
                 if repeat:  # repeated rows must accumulate, in row order
                     np.subtract.at(contexts, rows, G)
                 else:
                     contexts[rows] = U - G
             epoch_loss += pair_loss(scores)
         epoch_losses.append(epoch_loss / pairs_per_epoch)
-    centers[PAD_ROW] = 0.0
+    centers[PAD_INDEX] = 0.0
     return EmbeddingTable(rows=centers), epoch_losses
 
 
-def random_table(vocab_size: int, dim: int, seed: int, scale: float = 0.05) -> EmbeddingTable:
-    """Randomly initialized table (uniform +-scale) with a zero padding row."""
+def random_table(vocab_size: int, dim: int, seed: int) -> EmbeddingTable:
+    """Randomly initialized table (uniform +-0.05) with a zero padding row."""
     rng = np.random.default_rng(seed)
-    rows = rng.uniform(-scale, scale, size=(vocab_size + 1, dim))
-    rows[PAD_ROW] = 0.0
+    rows = rng.uniform(-0.05, 0.05, size=(vocab_size + 1, dim))
+    rows[PAD_INDEX] = 0.0
     return EmbeddingTable(rows=rows)

@@ -178,7 +178,7 @@ _TYPE_NAMES = {
     int: "an integer",
     float: "a number",
     str: "a string",
-    tuple: "a list of strings",
+    tuple: "a non-empty list of strings",
 }
 _COUNT = ("an integer of at least 1", lambda v: v >= 1)  # sizes, epochs, batches, windows
 _POSITIVE = ("a finite number above 0", lambda v: 0.0 < v < math.inf)  # rates and lambda
@@ -193,7 +193,8 @@ def _setting(key: str, default, kind: type, rule: str = "", ok=None, nullable: b
 
 def _has_type(kind: type, value) -> bool:
     if kind is tuple:
-        return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
+        strings = isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
+        return strings and len(value) > 0
     if isinstance(value, bool):
         return kind is bool
     return isinstance(value, (int, float) if kind is float else kind)
@@ -214,11 +215,14 @@ class ExperimentConfig:
         "eval.representations",
         REPRESENTATIONS,
         tuple,
-        f"a list without unknown representations (known: {', '.join(REPRESENTATIONS)})",
-        lambda v: set(v) <= set(REPRESENTATIONS),
+        f"a list of distinct names, no unknown representation"
+        f" (known: {', '.join(REPRESENTATIONS)})",
+        lambda v: len(set(v)) == len(v) and set(v) <= set(REPRESENTATIONS),
     )
     # None: every morbidity in the corpus
-    morbidities: tuple[str, ...] | None = _setting("eval.morbidities", None, tuple, nullable=True)
+    morbidities: tuple[str, ...] | None = _setting(
+        "eval.morbidities", None, tuple, "a list of non-empty names", all, nullable=True
+    )
     svm_lambda: float = _setting("svm.lambda", 1e-4, float, *_POSITIVE)
     svm_epochs: int = _setting("svm.epochs", 50, int, *_COUNT)
     mlp_hidden: int = _setting("mlp.hidden_size", 100, int, *_COUNT)
@@ -292,11 +296,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return out
 
 
-def default_config_dict() -> dict:
-    """The flat form of the defaults, suitable for --print-default-config."""
-    return config_to_dict(ExperimentConfig())
-
-
 # ---------------------------------------------------------------------------
 # per-cell experiment
 
@@ -324,16 +323,6 @@ class CellResult:
         if self.skipped is not None:
             return None
         return float(np.mean([f.f1 for f in self.folds]))
-
-
-_STOPWORDS: frozenset | None = None
-
-
-def _stopwords() -> frozenset:
-    global _STOPWORDS
-    if _STOPWORDS is None:
-        _STOPWORDS = frozenset(load_stopwords())
-    return _STOPWORDS
 
 
 def _once(memo: dict, key, make):
@@ -427,7 +416,7 @@ def _fit_fold(
             batch_size=config.mlp_batch,
         )
     return PredictorHandle(
-        kind=rep.kind, morbidity=morbidity, model=model, tfidf=model_tf, stopwords=_stopwords()
+        kind=rep.kind, morbidity=morbidity, model=model, tfidf=model_tf, stopwords=load_stopwords()
     )
 
 
@@ -469,7 +458,7 @@ def run_cell(
     if rep.embedding in _VECTOR_FILE_FIELDS and getattr(config, rep.embedding) is None:
         return skip(f"no vector file configured for {representation}")
 
-    stopwords = None if rep.kind == "bilstm" else _stopwords()
+    stopwords = None if rep.kind == "bilstm" else load_stopwords()
     token_lists = _once(
         memo, ("tokens", stopwords), lambda: [note_tokens(t, stopwords) for t in dataset.texts]
     )
@@ -504,8 +493,7 @@ def run_cell(
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    master_seed: int
-    config: ExperimentConfig
+    representations: tuple[str, ...]
     morbidities: tuple[str, ...]
     cells: tuple[CellResult, ...]
 
@@ -617,7 +605,7 @@ def run_experiment(
     }
     cells = [by_key[m, rep] for m in morbidities for rep in config.representations]
     return ExperimentReport(
-        master_seed=master_seed, config=config, morbidities=morbidities, cells=tuple(cells)
+        representations=config.representations, morbidities=morbidities, cells=tuple(cells)
     )
 
 
@@ -631,7 +619,7 @@ def _format_cell(value: float | None) -> str:
 
 def _report_rows(report: ExperimentReport) -> list[list[str]]:
     """The header, one row per morbidity, then Average: the cells of both report tables."""
-    reps = report.config.representations
+    reps = report.representations
     rows = [["morbidity", *reps]]
     for m in report.morbidities:
         rows.append([m, *(_format_cell(report.cell(m, rep).mean_f1) for rep in reps)])
@@ -720,7 +708,8 @@ def report_from_raw_rows(lines, where: str) -> ExperimentReport:
                 if any(f.fold == fold.fold for f in folds.get(key, ())):
                     raise ValueError(f"{cell} already has fold {fold.fold}")
                 folds.setdefault(key, []).append(fold)
-        except (ValueError, KeyError, TypeError) as exc:
+        # OverflowError: an f1 integer too large for a float; RecursionError: deep nesting
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise ConfigError(f"{where} line {lineno}: bad raw row ({exc})") from exc
 
     keys = set(folds) | set(skipped)
@@ -738,9 +727,4 @@ def report_from_raw_rows(lines, where: str) -> ExperimentReport:
             else:
                 reason = skipped.get(key, "missing from raw rows")
                 cells.append(CellResult(morbidity=m, representation=rep, skipped=reason))
-    return ExperimentReport(
-        master_seed=0,
-        config=ExperimentConfig(representations=reps),
-        morbidities=morbidities,
-        cells=tuple(cells),
-    )
+    return ExperimentReport(representations=reps, morbidities=morbidities, cells=tuple(cells))

@@ -43,6 +43,7 @@ import numpy as np
 from morbench.embeddings import EmbeddingTable
 from morbench.models.rmsprop import Params, RmspropConfig, RmspropState, rmsprop_step
 from morbench.models.training import checked_labels, mean_bce, minibatches, sigmoid
+from morbench.preprocess import PAD_INDEX
 
 
 def _stacked(params: Params, layer: str):
@@ -248,7 +249,7 @@ def bilstm_gradients(
         demb = dx1[:, 0] + dx1[::-1, 1]  # (T, B, D)
         demb_table = np.zeros_like(params["embedding"])
         np.add.at(demb_table, batch_idx, demb.transpose(1, 0, 2))
-        demb_table[0] = 0.0  # padding row stays zero
+        demb_table[PAD_INDEX] = 0.0
         grads["embedding"] = demb_table
     return grads
 

@@ -10,13 +10,13 @@ Two preparation paths share the same tokenizer:
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
 from dataclasses import dataclass
 from collections import Counter
 from importlib import resources
-from pathlib import Path
 
 # Maximal runs of Unicode alphanumerics; underscore is a separator.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -114,18 +114,14 @@ def filter_for_tfidf(tokens: list[str], stopwords: set[str]) -> list[str]:
     return [t for t in tokens if t not in stopwords and not t.isdigit()]
 
 
-def load_stopwords(path: str | Path | None = None) -> set[str]:
-    """Load a stopword file (one word per line, '#' comments ignored).
-
-    Without a path, the packaged English list is used.
-    """
-    if path is None:
-        text = resources.files("morbench").joinpath("data/stopwords.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
+@functools.cache
+def load_stopwords() -> frozenset[str]:
+    """The packaged English stopword list (one word per line, '#' comments
+    ignored), read once per process."""
+    text = resources.files("morbench").joinpath("data/stopwords.txt").read_text("utf-8")
     words = set()
     for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             words.add(line)
-    return words
+    return frozenset(words)

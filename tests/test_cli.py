@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from morbench import __version__
 from morbench.cli import main
 from morbench.embeddings import load_pretrained
-from morbench.eval import default_config_dict
+from morbench.eval import REPRESENTATIONS, ExperimentConfig, config_to_dict
 from morbench.preprocess import build_vocabulary, normalize_text, tokenize
+from test_eval import _config_dicts
 
 SPEC = {
     "morbidities": {
@@ -219,6 +220,10 @@ def _skip_row() -> str:
         ('{"morbidity": "Gout", "representation": "tfidf_svm", "skipped": "x"}\n{"f1": 0.5\n', "line 2"),
         ('{"morbidity": "Gout", "representation": "tfidf_svm", "fold": 0, "f1": 0.5}\n', "line 1"),
         (_fold_row(f1="x"), "line 1: bad raw row (f1 'x'"),
+        pytest.param(
+            _fold_row(f1=10**400), "line 1: bad raw row (int too large", id="f1-beyond-float"
+        ),
+        pytest.param("[" * 100_000, "line 1: bad raw row (maximum recursion", id="deep-nesting"),
         (_fold_row() + _fold_row(morbidity=5), "line 2: bad raw row (morbidity 5"),
         (_fold_row(representation="nope"), "unknown representation 'nope'"),
         (
@@ -294,7 +299,7 @@ def test_train_embeddings_negative_seed_is_a_usage_error(workspace, capsys):
 def test_print_default_config(capsys):
     assert main(["run", "--print-default-config"]) == 0
     printed = json.loads(capsys.readouterr().out)
-    assert printed == default_config_dict()
+    assert printed == config_to_dict(ExperimentConfig())
 
 
 def test_missing_corpus_file_is_a_usage_error(workspace, capsys):
@@ -350,6 +355,9 @@ def test_out_of_range_model_size_is_a_usage_error(workspace, capsys, key, value)
         ("svm.lambda", float("nan")),
         ("rmsprop.learning_rate", float("inf")),
         ("svm.lambda", 10**400),  # an integer no float can hold
+        ("eval.representations", []),
+        ("eval.representations", ["tfidf_svm", "tfidf_svm"]),
+        ("eval.morbidities", [""]),
     ],
 )
 def test_out_of_range_or_null_setting_is_a_usage_error(workspace, capsys, key, value):
@@ -362,6 +370,15 @@ def test_out_of_range_or_null_setting_is_a_usage_error(workspace, capsys, key, v
     err = capsys.readouterr().err
     assert key in err and "internal error" not in err
     assert not out.exists()
+
+
+def test_morbidity_absent_from_the_corpus_is_an_na_row(workspace):
+    config = {**CHEAP_CONFIG, "eval.morbidities": ["Gout", "Absent"]}
+    (workspace / "absent.json").write_text(json.dumps(config), encoding="utf-8")
+    corpus, out = _synth(workspace), workspace / "o"
+    assert main(["run", str(corpus), "--config", str(workspace / "absent.json"), "--out", str(out)]) == 0
+    rows = (out / "report.csv").read_text().splitlines()
+    assert rows[1].startswith("Gout,") and rows[2] == "Absent,n/a,n/a"
 
 
 @pytest.mark.parametrize(
@@ -552,6 +569,83 @@ def test_prepare_exits_0_or_2_on_any_json_lines_input(lines):
         corpus = Path(tmp) / "corpus.jsonl"
         corpus.write_text("\n".join(lines), encoding="utf-8", errors="surrogatepass")
         assert main(["prepare", str(corpus), "--out", str(Path(tmp) / "out")]) in (0, 2)
+
+
+# Every integer setting at 2 (eval.k at its least), so that a run of any
+# config drawn over it, at sizes and epochs of 1 to 3, takes well under a second.
+_TINY_CONFIG = {
+    key: 2 for key, value in config_to_dict(ExperimentConfig()).items() if type(value) is int
+}
+_TINY_SPEC = {
+    "morbidities": {
+        "Gout": {"positives": 5, "negatives": 5, "marker_repeats": 2},
+        "Asthma": {"positives": 5, "negatives": 5, "marker_repeats": 2},
+    },
+    "noise_vocab_size": 12,
+    "min_tokens": 4,
+    "max_tokens": 8,
+}
+
+
+@settings(max_examples=150)
+@given(
+    _config_dicts(ints=st.integers(1, 3), any_int=st.integers(-3, 3)),
+    st.integers(1, 3),
+    st.integers(),
+)
+def test_run_exits_0_or_2_on_any_config_and_report_reads_what_it_wrote(raw, jobs, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "spec.json").write_text(json.dumps(_TINY_SPEC), encoding="utf-8")
+        (tmp / "config.json").write_text(json.dumps({**_TINY_CONFIG, **raw}), encoding="utf-8")
+        assert main(["synth", "--spec", str(tmp / "spec.json"), "--out", str(tmp / "c.jsonl")]) == 0
+        argv = ["run", str(tmp / "c.jsonl"), "--config", str(tmp / "config.json")]
+        argv += ["--jobs", str(jobs), "--seed", str(seed), "--out", str(tmp / "out")]
+        code = main(argv)
+        assert code in (0, 2)
+        if code == 0:
+            assert main(["report", str(tmp / "out" / "raw.jsonl"), "--out", str(tmp / "re")]) == 0
+
+
+@st.composite
+def _raw_line(draw) -> str:
+    """One raw.jsonl line: text that is mostly not JSON, a line json.loads cannot
+    read, any JSON value, or (most often) a fold or skipped row in which each key
+    is dropped one time in sixteen and its value replaced by any JSON value one
+    time in sixteen."""
+    shape = draw(st.integers(0, 15))
+    if shape == 0:
+        return draw(_FUZZ_TEXT)
+    if shape == 1:
+        return draw(st.sampled_from(_UNREADABLE_LINES))
+    if shape == 2:
+        return json.dumps(draw(_FUZZ_JSON))
+    row = {
+        "morbidity": draw(st.sampled_from(["Gout", "Asthma", ""]) | _FUZZ_NAME),
+        "representation": draw(st.sampled_from([*REPRESENTATIONS, "tfidf_forest"])),
+    }
+    if draw(st.integers(0, 3)) == 0:
+        row["skipped"] = draw(_FUZZ_TEXT)
+    else:
+        row["fold"] = draw(st.integers(0, 2))
+        row["f1"] = draw(st.floats(0, 1))
+        row.update({name: draw(st.integers(0, 5)) for name in ("tp", "fp", "fn", "tn")})
+    for key in list(row):
+        change = draw(st.integers(0, 15))
+        if change == 0:
+            del row[key]
+        elif change == 1:
+            row[key] = draw(_FUZZ_JSON)
+    return json.dumps(row, ensure_ascii=draw(st.integers(0, 7)) < 7)
+
+
+@settings(max_examples=300)
+@given(st.lists(_raw_line(), max_size=6))
+def test_report_exits_0_or_2_on_any_raw_lines(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = Path(tmp) / "raw.jsonl"
+        raw.write_text("\n".join(lines), encoding="utf-8", errors="surrogatepass")
+        assert main(["report", str(raw), "--out", str(Path(tmp) / "out")]) in (0, 2)
 
 
 def test_unexpected_exception_maps_to_exit_one(workspace, monkeypatch, capsys):

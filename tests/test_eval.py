@@ -1,7 +1,9 @@
 """Tests for folding, metrics, configuration, and the experiment engine."""
 
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +32,6 @@ from morbench.eval import (
     config_from_dict,
     config_to_dict,
     confusion_counts,
-    default_config_dict,
     derive_seed,
     f1_from_counts,
     f1_score,
@@ -44,7 +45,7 @@ from morbench.eval import (
     stratified_kfold,
 )
 from morbench.models.predictor import note_tokens, tfidf_matrix
-from morbench.preprocess import normalize_text, tokenize
+from morbench.preprocess import load_stopwords, normalize_text, tokenize
 from morbench.tfidf import fit as tfidf_fit
 
 
@@ -207,10 +208,8 @@ def test_config_round_trip_through_flat_dict():
     assert rebuilt == config
 
 
-_ANY_CONFIG_VALUE = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
 _PLAUSIBLE_CONFIG_VALUE = {  # by the type of the key's default
     bool: st.booleans(),
-    int: st.integers(1, 400),
     float: st.floats(0, 1) | st.integers(1, 5),
     str: st.sampled_from(["fold", "corpus"]),
     list: st.lists(st.sampled_from(REPRESENTATIONS), max_size=4),
@@ -219,13 +218,17 @@ _PLAUSIBLE_CONFIG_VALUE = {  # by the type of the key's default
 
 
 @st.composite
-def _config_dicts(draw) -> dict:
-    """A flat config dict; seven values in eight are of the key's type and mostly in range."""
-    defaults = default_config_dict()
+def _config_dicts(draw, ints=st.integers(1, 400), any_int=st.integers()) -> dict:
+    """A flat config dict; seven values in eight are of the key's type and mostly in
+    range. Integers are drawn from ``ints`` for integer keys and from ``any_int``
+    among the values of any type."""
+    defaults = config_to_dict(ExperimentConfig())
+    plausible = {**_PLAUSIBLE_CONFIG_VALUE, int: ints}
+    any_value = st.none() | st.booleans() | any_int | st.floats() | st.text(max_size=5)
     raw = {}
     for key in draw(st.lists(st.sampled_from(sorted(defaults)), unique=True, max_size=6)):
-        plausible = _PLAUSIBLE_CONFIG_VALUE[type(defaults[key])]
-        raw[key] = draw(plausible if draw(st.integers(0, 7)) < 7 else _ANY_CONFIG_VALUE)
+        value = plausible[type(defaults[key])] if draw(st.integers(0, 7)) < 7 else any_value
+        raw[key] = draw(value)
     return raw
 
 
@@ -241,11 +244,19 @@ def test_every_accepted_config_dict_survives_config_to_dict(raw):
 
 
 def test_default_config_dict_covers_every_key():
-    flat = default_config_dict()
+    flat = config_to_dict(ExperimentConfig())
     assert config_from_dict(flat) == ExperimentConfig()
     assert flat["eval.k"] == 10
     assert flat["eval.representations"] == list(REPRESENTATIONS)
     assert flat["embeddings.word2vec_path"] is None
+
+
+def test_readme_config_table_names_every_key_once():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(config_to_dict(ExperimentConfig()))
 
 
 def test_config_rejects_unknown_key():
@@ -277,6 +288,15 @@ def test_config_semantic_validation():
         ExperimentConfig(representations=("tfidf_forest",))
     with pytest.raises(ConfigError, match="fit_scope"):
         ExperimentConfig(fit_scope="document")
+    for key, value in [
+        ("eval.representations", []),
+        ("eval.representations", ["tfidf_svm", "tfidf_svm"]),
+        ("eval.morbidities", []),
+        ("eval.morbidities", [""]),
+        ("eval.morbidities", ["Gout", ""]),
+    ]:
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({key: value})
     assert config_from_dict({}) == ExperimentConfig()
 
 
@@ -710,7 +730,7 @@ def test_shared_memo_gives_the_unshared_results(tmp_path, monkeypatch, fit_scope
     alone = [run_cell(dataset, rep, config, master_seed=2) for rep in reps]
     alone_matrices, matrices[:] = matrices[:], []
     # each fold's matrix as it is built with no memo at all
-    tokens = [note_tokens(t, eval_module._stopwords()) for t in dataset.texts]
+    tokens = [note_tokens(t, load_stopwords()) for t in dataset.texts]
     expected = []
     for fold in stratified_kfold(dataset.labels, config.k, derive_seed(2, "Gout", "folds")):
         train = [tokens[i] for i in fold.train_indices]
@@ -760,10 +780,7 @@ def test_render_markdown_layout_and_average():
         CellResult(morbidity="Asthma", representation="tfidf_svm", skipped="too small"),
     )
     report = ExperimentReport(
-        master_seed=0,
-        config=_cheap_config(),
-        morbidities=("Asthma", "Gout"),
-        cells=cells,
+        representations=("tfidf_svm",), morbidities=("Asthma", "Gout"), cells=cells
     )
     text = render_report_markdown(report)
     lines = text.splitlines()
@@ -783,8 +800,7 @@ def test_render_markdown_layout_and_average():
 
 def test_mean_over_morbidities_none_when_everything_skipped():
     report = ExperimentReport(
-        master_seed=0,
-        config=_cheap_config(),
+        representations=("tfidf_svm",),
         morbidities=("Gout",),
         cells=(CellResult(morbidity="Gout", representation="tfidf_svm", skipped="x"),),
     )
@@ -803,8 +819,7 @@ def test_raw_rows_shape_and_determinism():
         assert "seconds" not in row
 
     skipped_report = ExperimentReport(
-        master_seed=0,
-        config=_cheap_config(),
+        representations=("tfidf_svm",),
         morbidities=("Gout",),
         cells=(CellResult(morbidity="Gout", representation="tfidf_svm", skipped="why"),),
     )
@@ -820,7 +835,6 @@ def _report_with_skips():
     def folds(*f1s):
         return tuple(FoldResult(i, f1, i + 1, 1, 2, 3) for i, f1 in enumerate(f1s))
 
-    config = _cheap_config(representations=("tfidf_svm", "tfidf_mlp", "bilstm_random"))
     cells = (
         CellResult("Asthma", "tfidf_svm", folds(0.5, 0.25, 1.0)),
         CellResult("Asthma", "tfidf_mlp", skipped="class counts 1 positive / 9 negative"),
@@ -830,7 +844,9 @@ def _report_with_skips():
         CellResult("Gout", "bilstm_random", skipped="notes too short"),
     )
     return ExperimentReport(
-        master_seed=0, config=config, morbidities=("Asthma", "Gout"), cells=cells
+        representations=("tfidf_svm", "tfidf_mlp", "bilstm_random"),
+        morbidities=("Asthma", "Gout"),
+        cells=cells,
     )
 
 

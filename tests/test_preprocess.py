@@ -113,9 +113,3 @@ def test_filter_for_tfidf():
 def test_filter_keeps_alphanumeric_mixes():
     stop = load_stopwords()
     assert filter_for_tfidf(["12ab", "99", "b12"], stop) == ["12ab", "b12"]
-
-
-def test_custom_stopword_file(tmp_path):
-    path = tmp_path / "stop.txt"
-    path.write_text("# comment line\nfoo\nbar\n\n", encoding="utf-8")
-    assert load_stopwords(path) == {"foo", "bar"}
