@@ -28,7 +28,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from morbench.errors import VectorFileError
+from morbench.errors import TrainingDiverged, VectorFileError
 from morbench.models.training import sigmoid
 from morbench.preprocess import PAD_INDEX, Vocabulary, encode
 
@@ -218,7 +218,8 @@ def train_skipgram(
     the unigram distribution raised to 0.75. Center vectors start uniform in
     [-0.5/dim, 0.5/dim], context vectors at zero; the learning rate decays
     linearly from the configured value to a tenth of it over all pair updates.
-    Only the center table is returned; row 0 stays zero throughout.
+    Only the center table is returned; row 0 stays zero throughout. A table
+    that is not finite raises TrainingDiverged.
     """
     if not token_lists:
         raise ValueError("cannot train embeddings on an empty corpus")
@@ -277,6 +278,8 @@ def train_skipgram(
             epoch_loss += pair_loss(scores)
         epoch_losses.append(epoch_loss / pairs_per_epoch)
     centers[PAD_INDEX] = 0.0
+    if not np.isfinite(centers).all():
+        raise TrainingDiverged(f"skip-gram vectors are not finite at learning rate {lr0!r}")
     return EmbeddingTable(rows=centers), epoch_losses
 
 

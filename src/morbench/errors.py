@@ -21,3 +21,7 @@ class VectorFileError(MorbenchError):
 
 class ConfigError(MorbenchError):
     """Invalid configuration value, unreadable input file or unwritable output path."""
+
+
+class TrainingDiverged(MorbenchError, ValueError):
+    """Training under the configured settings produced non-finite values."""

@@ -36,7 +36,7 @@ from morbench.embeddings import (
     restrict_table,
     train_skipgram,
 )
-from morbench.errors import ConfigError
+from morbench.errors import ConfigError, TrainingDiverged
 from morbench.models.lstm import BiLstmConfig, bilstm_train
 from morbench.models.mlp import mlp_train
 from morbench.models.predictor import (
@@ -427,7 +427,7 @@ def run_cell(
     master_seed: int,
     _memo: dict | None = None,
 ) -> CellResult:
-    """Score one (morbidity, representation) cell; degenerate data yields a skip.
+    """Score one (morbidity, representation) cell; degenerate data or divergence skips it.
 
     ``_memo`` is internal: _cells_task passes one dict to every cell of a pool
     task, all of one dataset, config and master seed, so that each note is
@@ -470,11 +470,16 @@ def run_cell(
     results = []
     for fold in folds:
         seed = derive_seed(master_seed, morbidity, representation, fold.fold)
-        handle = _fit_fold(rep, morbidity, token_lists, fold, y, config, seed, memo)
-        if isinstance(handle, str):
-            return skip(handle)
+        # a saturating sigmoid overflows exp harmlessly; invalid values still warn
+        with np.errstate(over="ignore"):
+            try:
+                handle = _fit_fold(rep, morbidity, token_lists, fold, y, config, seed, memo)
+            except TrainingDiverged as exc:
+                return skip(f"training diverged: {exc}")
+            if isinstance(handle, str):
+                return skip(handle)
+            y_pred = predict_batch(handle, [token_lists[i] for i in fold.test_indices])
         y_test = y[list(fold.test_indices)]
-        y_pred = predict_batch(handle, [token_lists[i] for i in fold.test_indices])
         tp, fp, fn, tn = confusion_counts(y_test, y_pred)
         f1 = f1_score(y_test, y_pred, weighted=config.weighted_f1)
         results.append(FoldResult(fold=fold.fold, f1=f1, tp=tp, fp=fp, fn=fn, tn=tn))
@@ -674,15 +679,17 @@ def _check_fold_result(fold: FoldResult) -> None:
 def report_from_raw_rows(lines, where: str) -> ExperimentReport:
     """Rebuild the report that raw_rows wrote, enough to render its tables again.
 
-    Representations appear in their canonical order and morbidities as
-    order_morbidities sorts them; a cell with no row renders as n/a. A row
-    with a missing key, a value of the wrong type or an unknown
-    representation raises ConfigError; so does a row that repeats a fold, a
-    second skipped row for a cell, and a cell with both fold rows and a
-    skipped row. ``where`` names the source in it.
+    Representations appear in the order the rows first name them, which is
+    the order run wrote its columns in, and morbidities as order_morbidities
+    sorts them; a cell with no row renders as n/a. A row with a missing key,
+    a value of the wrong type or an unknown representation raises
+    ConfigError; so does a row that repeats a fold, a second skipped row for
+    a cell, and a cell with both fold rows and a skipped row. ``where`` names
+    the source in it.
     """
     folds: dict[tuple[str, str], list[FoldResult]] = {}
     skipped: dict[tuple[str, str], str] = {}
+    reps: dict[str, None] = {}  # in the order the rows name them
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -693,6 +700,7 @@ def report_from_raw_rows(lines, where: str) -> ExperimentReport:
                 raise ValueError(f"morbidity {key[0]!r} is not a non-empty string")
             if key[1] not in REPRESENTATIONS:
                 raise ValueError(f"unknown representation {key[1]!r}")
+            reps.setdefault(key[1])
             cell = f"{key[0]}/{key[1]}"
             if key in skipped:
                 raise ValueError(f"{cell} already has a skipped row")
@@ -712,11 +720,9 @@ def report_from_raw_rows(lines, where: str) -> ExperimentReport:
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise ConfigError(f"{where} line {lineno}: bad raw row ({exc})") from exc
 
-    keys = set(folds) | set(skipped)
-    if not keys:
+    if not reps:
         raise ConfigError(f"{where} holds no result rows")
-    reps = tuple(r for r in REPRESENTATIONS if any(k[1] == r for k in keys))
-    morbidities = order_morbidities({k[0] for k in keys})
+    morbidities = order_morbidities({m for m, _ in [*folds, *skipped]})
     cells = []
     for m in morbidities:
         for rep in reps:
@@ -727,4 +733,4 @@ def report_from_raw_rows(lines, where: str) -> ExperimentReport:
             else:
                 reason = skipped.get(key, "missing from raw rows")
                 cells.append(CellResult(morbidity=m, representation=rep, skipped=reason))
-    return ExperimentReport(representations=reps, morbidities=morbidities, cells=tuple(cells))
+    return ExperimentReport(tuple(reps), morbidities, tuple(cells))

@@ -83,7 +83,7 @@ def _layer_forward(steps: list[np.ndarray], W, U, b):
         pre += np.matmul(h[t], U)
         pre += b
         gates = ifo[t]
-        np.divide(1.0, 1.0 + np.exp(-pre[..., : 3 * H]), out=gates)  # one sigmoid for i, f, o
+        sigmoid(pre[..., : 3 * H], out=gates)  # one sigmoid for i, f, o
         np.tanh(pre[..., 3 * H :], out=g[t])
         np.multiply(gates[..., H : 2 * H], c[t], out=c[t + 1])
         c[t + 1] += gates[..., :H] * g[t]
@@ -148,9 +148,6 @@ class BiLstmConfig:
 @dataclass
 class BiLstmModel:
     params: Params  # includes the "embedding" matrix
-    hidden1: int
-    hidden2: int
-    embed_trainable: bool
 
 
 def _glorot(rng, shape):
@@ -271,9 +268,4 @@ def bilstm_train(
     for batch in minibatches(X.shape[0], config.batch_size, config.epochs, seed):
         grads = bilstm_gradients(params, X[batch], y[batch], config.train_embeddings)
         rmsprop_step(params, grads, state)
-    return BiLstmModel(
-        params=params,
-        hidden1=config.hidden1,
-        hidden2=config.hidden2,
-        embed_trainable=config.train_embeddings,
-    )
+    return BiLstmModel(params=params)

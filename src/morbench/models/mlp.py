@@ -16,7 +16,6 @@ from morbench.models.training import checked_labels, mean_bce, minibatches, sigm
 @dataclass
 class MlpModel:
     params: Params  # W1 (d,h), b1 (h,), W2 (h,1), b2 (1,)
-    hidden_size: int
 
 
 def init_params(n_features: int, hidden_size: int, seed: int) -> Params:
@@ -74,4 +73,4 @@ def mlp_train(
     state = RmspropState.fresh(params, rmsprop or RmspropConfig())
     for batch in minibatches(X.shape[0], batch_size, epochs, seed):
         rmsprop_step(params, mlp_gradients(params, X[batch], y[batch]), state)
-    return MlpModel(params=params, hidden_size=hidden_size)
+    return MlpModel(params=params)

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from morbench.errors import TrainingDiverged
+
 Params = dict[str, np.ndarray]
 
 
@@ -40,7 +42,7 @@ def rmsprop_step(params: Params, grads: Params, state: RmspropState) -> tuple[Pa
     eps = state.config.eps
     for name, grad in grads.items():
         if not np.all(np.isfinite(grad)):
-            raise ValueError(f"non-finite gradient for parameter {name!r}")
+            raise TrainingDiverged(f"non-finite gradient for parameter {name!r}")
         avg = state.square_avg[name]
         avg *= rho
         avg += (1.0 - rho) * grad * grad

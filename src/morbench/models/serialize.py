@@ -9,7 +9,9 @@ Layout (all integers little-endian):
     ...          array payloads, concatenated in header order, each C-order <f8
 
 Round-trips are bit-exact: float64 payloads are written raw and scalar
-metadata goes through JSON repr, which is lossless for finite doubles.
+metadata goes through JSON repr, which is lossless for finite doubles. Only
+svm files hold metadata (``lam``); an mlp or bilstm model is its arrays, whose
+shapes give the layer widths.
 """
 
 from __future__ import annotations
@@ -52,15 +54,8 @@ def save_model(model, path: str | Path) -> None:
             {"lam": model.lam},
             {"weights": model.weights, "bias": np.array([model.bias])},
         )
-    elif isinstance(model, MlpModel):
-        blob = _pack("mlp", {"hidden_size": model.hidden_size}, model.params)
-    elif isinstance(model, BiLstmModel):
-        meta = {
-            "hidden1": model.hidden1,
-            "hidden2": model.hidden2,
-            "embed_trainable": model.embed_trainable,
-        }
-        blob = _pack("bilstm", meta, model.params)
+    elif isinstance(model, (MlpModel, BiLstmModel)):
+        blob = _pack("mlp" if isinstance(model, MlpModel) else "bilstm", {}, model.params)
     else:
         raise ValueError(f"cannot serialize object of type {type(model).__name__}")
     replace_atomically(path, lambda tmp: tmp.write_bytes(blob))
@@ -93,17 +88,11 @@ def _build_model(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]):
         return SvmModel(
             weights=arrays["weights"], bias=float(arrays["bias"].reshape(-1)[0]), lam=meta["lam"]
         )
+    # mlp and bilstm models are their arrays; meta keys that older files hold are ignored
     if kind == "mlp":
-        model = MlpModel(params=arrays, hidden_size=meta["hidden_size"])
-        expected = mlp_init_params(1, 1, seed=0)
+        model, expected = MlpModel(params=arrays), mlp_init_params(1, 1, seed=0)
     elif kind == "bilstm":
-        model = BiLstmModel(
-            params=arrays,
-            hidden1=meta["hidden1"],
-            hidden2=meta["hidden2"],
-            embed_trainable=meta["embed_trainable"],
-        )
-        expected = lstm_init_params(np.zeros((1, 1)), 1, 1, seed=0)
+        model, expected = BiLstmModel(params=arrays), lstm_init_params(np.zeros((1, 1)), 1, 1, 0)
     else:
         raise ValueError(f"{path}: unknown model kind {kind!r}")
     # parameter names come from the model module's own initializer

@@ -27,8 +27,8 @@ def minibatches(n: int, batch_size: int, epochs: int, seed: int):
             yield order[start : start + batch_size]
 
 
-def sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+def sigmoid(z, out=None):
+    return np.divide(1.0, 1.0 + np.exp(-z), out=out)
 
 
 def mean_bce(z: np.ndarray, y: np.ndarray) -> float:

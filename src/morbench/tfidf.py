@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # A sparse row: (column, weight) pairs sorted by column, one entry per
 # distinct in-vocabulary word present in the document.
@@ -21,27 +21,19 @@ SparseRow = tuple[tuple[int, float], ...]
 @dataclass(frozen=True)
 class TfidfModel:
     columns: dict[str, int]  # word -> column, lexicographic order
-    doc_freq: dict[str, int]  # word -> number of documents containing it
-    corpus_size: int
-    # ln(N / n_w) per column, derived from the fields above
-    idfs: tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        idfs = [0.0] * len(self.columns)
-        for word, col in self.columns.items():
-            idfs[col] = math.log(self.corpus_size / self.doc_freq[word])
-        object.__setattr__(self, "idfs", tuple(idfs))
+    idfs: tuple[float, ...]  # ln(N / n_w) per column
 
 
 def fit(token_lists: list[list[str]]) -> TfidfModel:
-    """Fit document frequencies over the full vocabulary of the corpus."""
+    """Give every distinct word of the corpus a column and its idf."""
     if not token_lists:
         raise ValueError("cannot fit TF-IDF on an empty corpus")
     doc_freq = Counter()
     for tokens in token_lists:
         doc_freq.update(set(tokens))
-    columns = {w: i for i, w in enumerate(sorted(doc_freq))}
-    return TfidfModel(columns=columns, doc_freq=dict(doc_freq), corpus_size=len(token_lists))
+    words = sorted(doc_freq)
+    idfs = tuple(math.log(len(token_lists) / doc_freq[w]) for w in words)
+    return TfidfModel(columns={w: i for i, w in enumerate(words)}, idfs=idfs)
 
 
 def transform(tokens: list[str], model: TfidfModel) -> SparseRow:

@@ -205,6 +205,58 @@ def test_report_rerenders_identical_tables(workspace):
     assert (rerender / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
 
 
+def _run_with_config(workspace, config: dict, out: Path) -> int:
+    (workspace / "run.json").write_text(json.dumps(config), encoding="utf-8")
+    corpus = _synth(workspace)
+    return main(["run", str(corpus), "--config", str(workspace / "run.json"), "--out", str(out)])
+
+
+def test_report_keeps_the_column_order_run_wrote(workspace):
+    config = {**CHEAP_CONFIG, "eval.representations": ["tfidf_mlp", "tfidf_svm"], "mlp.epochs": 2}
+    out, rerender = workspace / "results", workspace / "rerendered"
+    assert _run_with_config(workspace, config, out) == 0
+    assert (out / "report.csv").read_text().splitlines()[0] == "morbidity,tfidf_mlp,tfidf_svm"
+    assert main(["report", str(out / "raw.jsonl"), "--out", str(rerender)]) == 0
+    assert (rerender / "report.md").read_bytes() == (out / "report.md").read_bytes()
+    assert (rerender / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
+
+
+DIVERGING = {
+    "tfidf_mlp": {"mlp.hidden_size": 4, "mlp.epochs": 3, "rmsprop.learning_rate": 1e300},
+    "bilstm_domain_w2v": {
+        "skipgram.epochs": 1,
+        "skipgram.window": 2,
+        "skipgram.learning_rate": 1e300,
+    },
+}
+
+
+# overflow warnings stay errors (run must silence them); a diverged step's invalid values may warn
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("representation", sorted(DIVERGING))
+def test_diverging_training_skips_the_cell(workspace, representation):
+    config = {**CHEAP_CONFIG, **DIVERGING[representation], "eval.representations": [representation]}
+    out, rerender = workspace / "results", workspace / "rerendered"
+    assert _run_with_config(workspace, config, out) == 0
+    raw = [json.loads(line) for line in (out / "raw.jsonl").read_text().splitlines()]
+    assert [row["morbidity"] for row in raw] == ["Asthma", "Gout"]
+    assert all(row["skipped"].startswith("training diverged: ") for row in raw)
+    assert main(["report", str(out / "raw.jsonl"), "--out", str(rerender)]) == 0
+    assert (rerender / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_embeddings_that_diverge_is_a_usage_error_and_writes_nothing(workspace, capsys):
+    config = {"embeddings.dim": 8, **DIVERGING["bilstm_domain_w2v"]}
+    (workspace / "sg.json").write_text(json.dumps(config), encoding="utf-8")
+    corpus, out = _synth(workspace), workspace / "vectors.txt"
+    argv = ["train-embeddings", str(corpus), "--config", str(workspace / "sg.json")]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "skip-gram vectors are not finite" in err and "internal error" not in err
+    assert not out.exists()
+
+
 def _fold_row(**changes) -> str:
     row = {"morbidity": "Gout", "representation": "tfidf_svm", "fold": 0, "f1": 0.5}
     return json.dumps({**row, "tp": 1, "fp": 0, "fn": 1, "tn": 2, **changes}) + "\n"

@@ -346,7 +346,7 @@ def test_zero_dense_layer_gives_half_probability():
     params = _tiny_model_params()
     params["dense.W"][:] = 0.0
     params["dense.b"][:] = 0.0
-    model = BiLstmModel(params=params, hidden1=2, hidden2=2, embed_trainable=False)
+    model = BiLstmModel(params=params)
     model_probs = bilstm_forward(np.array([[1, 2], [3, 4]]), model)
     np.testing.assert_allclose(model_probs, [0.5, 0.5], rtol=1e-15)
 
@@ -363,7 +363,7 @@ def test_all_padding_batch_passes_dense_bias_through():
 
 def test_forward_rows_independent_of_batch_composition():
     params = _tiny_model_params()
-    model = BiLstmModel(params=params, hidden1=2, hidden2=2, embed_trainable=False)
+    model = BiLstmModel(params=params)
     batch = np.array([[1, 2, 3], [4, 5, 0], [2, 2, 2]])
     together = bilstm_forward(batch, model)
     for row in range(3):
@@ -373,7 +373,7 @@ def test_forward_rows_independent_of_batch_composition():
 
 def test_forward_takes_an_index_matrix_and_rejects_other_batches():
     params = _tiny_model_params()
-    model = BiLstmModel(params=params, hidden1=2, hidden2=2, embed_trainable=False)
+    model = BiLstmModel(params=params)
     probs = bilstm_forward(np.array([[1, 2, 0], [3, 4, 5]]), model)
     assert probs.shape == (2,)
     assert np.all(probs > 0) and np.all(probs < 1)
@@ -429,7 +429,6 @@ def test_frozen_embeddings_stay_bit_identical():
     )
     np.testing.assert_array_equal(table.rows, before)  # caller's table untouched
     np.testing.assert_array_equal(model.params["embedding"], before)
-    assert not model.embed_trainable
 
 
 def test_trainable_embeddings_move_but_padding_row_stays_zero():
@@ -443,7 +442,6 @@ def test_trainable_embeddings_move_but_padding_row_stays_zero():
     np.testing.assert_array_equal(table.rows, before)  # caller's table still untouched
     assert not np.array_equal(model.params["embedding"], before)
     np.testing.assert_array_equal(model.params["embedding"][0], np.zeros(6))
-    assert model.embed_trainable
 
 
 def test_single_class_and_mismatch_rejected():

@@ -88,7 +88,7 @@ def test_svm_margin_tie_maps_to_one():
 def test_mlp_probability_of_one_half_maps_to_one():
     # a zero network gives every note a probability of exactly 0.5
     params = {"W1": np.zeros((2, 3)), "b1": np.zeros(3), "W2": np.zeros((3, 1)), "b2": np.zeros(1)}
-    model = MlpModel(params=params, hidden_size=3)
+    model = MlpModel(params=params)
     assert predict_batch(_boundary_handle("mlp", model), [["a"], ["b"]]).tolist() == [1, 1]
     params["b2"][0] = -1e-9
     assert predict_batch(_boundary_handle("mlp", model), [["a"], ["b"]]).tolist() == [0, 0]

@@ -9,7 +9,7 @@ import pytest
 from morbench.embeddings import random_table
 from morbench.models.lstm import BiLstmConfig, BiLstmModel, bilstm_train
 from morbench.models.mlp import MlpModel, mlp_train
-from morbench.models.serialize import MAGIC, load_model, save_model
+from morbench.models.serialize import MAGIC, _pack, load_model, save_model
 from morbench.models.svm import SvmModel, svm_train
 
 
@@ -46,7 +46,6 @@ def test_mlp_round_trip_bit_exact(tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     assert isinstance(loaded, MlpModel)
-    assert loaded.hidden_size == model.hidden_size
     assert set(loaded.params) == set(model.params)
     for key in model.params:
         np.testing.assert_array_equal(loaded.params[key], model.params[key])
@@ -58,9 +57,42 @@ def test_bilstm_round_trip_bit_exact(tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     assert isinstance(loaded, BiLstmModel)
-    assert (loaded.hidden1, loaded.hidden2) == (model.hidden1, model.hidden2)
-    assert loaded.embed_trainable == model.embed_trainable
     assert set(loaded.params) == set(model.params)
+    for key in model.params:
+        np.testing.assert_array_equal(loaded.params[key], model.params[key])
+
+
+def _header(path) -> dict:
+    import json
+
+    blob = path.read_bytes()
+    version, length = struct.unpack("<II", blob[8:16])
+    return {"version": version, **json.loads(blob[16 : 16 + length])}
+
+
+@pytest.mark.parametrize("make", [_mlp_model, _bilstm_model])
+def test_mlp_and_bilstm_files_hold_no_metadata(tmp_path, make):
+    path = tmp_path / "m.bin"
+    save_model(make(), path)
+    header = _header(path)
+    assert header["version"] == 1 and header["meta"] == {}
+
+
+@pytest.mark.parametrize(
+    "make,kind,meta",
+    [
+        (_mlp_model, "mlp", {"hidden_size": 4}),
+        (_bilstm_model, "bilstm", {"hidden1": 2, "hidden2": 2, "embed_trainable": False}),
+    ],
+)
+def test_files_with_the_older_layer_metadata_still_load_bit_exactly(tmp_path, make, kind, meta):
+    # earlier versions wrote the layer widths (and the bilstm's embedding flag) as metadata
+    model = make()
+    path = tmp_path / "m.bin"
+    path.write_bytes(_pack(kind, meta, model.params))
+    assert _header(path)["meta"] == meta
+    loaded = load_model(path)
+    assert type(loaded) is type(model) and set(loaded.params) == set(model.params)
     for key in model.params:
         np.testing.assert_array_equal(loaded.params[key], model.params[key])
 

@@ -41,8 +41,8 @@ def test_hand_computed_fixture():
         ["apple"],
     ]
     model = fit(docs)
-    assert model.corpus_size == 3
-    assert model.doc_freq == {"apple": 2, "banana": 2, "cherry": 1, "durian": 1}
+    assert model.columns == {"apple": 0, "banana": 1, "cherry": 2, "durian": 3}
+    assert model.idfs == (math.log(3 / 2), math.log(3 / 2), math.log(3 / 1), math.log(3 / 1))
     r0 = as_word_weights(transform(docs[0], model), model)
     # apple: (2/4) * ln(3/2) = 0.2027326; cherry: (1/4) * ln(3) = 0.2746531
     assert r0["apple"] == pytest.approx(0.5 * math.log(1.5), abs=1e-12)
@@ -115,7 +115,8 @@ def test_normalize_leaves_all_zero_rows_alone():
 def test_empty_document_transforms_to_empty_row():
     model = fit([["a"], []])  # empty docs still count toward N
     assert transform([], model) == ()
-    assert model.corpus_size == 2
+    assert model.columns == {"a": 0}
+    assert model.idfs == (math.log(2 / 1),)
     # a appears in 1 of 2 docs: idf = ln 2
     assert as_word_weights(transform(["a"], model), model)["a"] == pytest.approx(math.log(2))
 
@@ -142,24 +143,25 @@ def test_deterministic_and_column_order():
 # the featurizer against a per-occurrence reference
 
 
-def reference_transform(tokens, model):
-    """The per-occurrence weighting: filter every token, then weight each word."""
+def reference_transform(tokens, model, corpus):
+    """The per-occurrence weighting: filter every token, then weight each word
+    by ln(N / n_w), counted from the corpus the model was fitted on."""
     size = len(tokens)
     if size == 0:
         return ()
     counts = Counter(t for t in tokens if t in model.columns)
     row = [
-        (model.columns[w], (c / size) * math.log(model.corpus_size / model.doc_freq[w]))
+        (model.columns[w], (c / size) * math.log(len(corpus) / sum(w in doc for doc in corpus)))
         for w, c in counts.items()
     ]
     return tuple(sorted(row))
 
 
-def reference_matrix(token_lists, model):
+def reference_matrix(token_lists, model, corpus):
     """Dense rows written one element at a time, each divided by its maximum."""
     X = np.zeros((len(token_lists), len(model.columns)))
     for r, tokens in enumerate(token_lists):
-        row = reference_transform(tokens, model)
+        row = reference_transform(tokens, model, corpus)
         peak = max((w for _, w in row), default=0.0)
         for col, weight in row:
             X[r, col] = weight / peak if peak > 0.0 else weight
@@ -181,8 +183,8 @@ _NOTES = st.lists(_WORDS, max_size=12)
 def test_transform_and_matrix_equal_the_reference_exactly(corpus, queries):
     model = fit(corpus)
     for doc in corpus + queries:
-        assert transform(doc, model) == reference_transform(doc, model)
+        assert transform(doc, model) == reference_transform(doc, model, corpus)
     for docs in (corpus, queries):
-        got, want = tfidf_matrix(docs, model), reference_matrix(docs, model)
+        got, want = tfidf_matrix(docs, model), reference_matrix(docs, model, corpus)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
