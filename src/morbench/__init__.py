@@ -6,13 +6,3 @@ k-fold cross-validation on JSON-Lines note corpora (real or synthetic).
 """
 
 __version__ = "0.1.0"
-
-from morbench.errors import ConfigError, CorpusError, MorbenchError, VectorFileError
-
-__all__ = [
-    "ConfigError",
-    "CorpusError",
-    "MorbenchError",
-    "VectorFileError",
-    "__version__",
-]

@@ -39,6 +39,8 @@ from morbench.embeddings import save_vectors, train_skipgram
 from morbench.errors import ConfigError, CorpusError, MorbenchError
 from morbench.eval import (
     ExperimentConfig,
+    ExperimentReport,
+    _usable_cpus,
     config_from_dict,
     config_to_dict,
     order_morbidities,
@@ -49,7 +51,8 @@ from morbench.eval import (
     run_experiment,
 )
 from morbench.files import replace_atomically
-from morbench.preprocess import build_vocabulary, normalize_text, tokenize
+from morbench.models.predictor import note_tokens
+from morbench.preprocess import build_vocabulary
 
 
 def _resolve_out(path: str) -> Path:
@@ -117,10 +120,10 @@ def _load_config(path: str | None) -> ExperimentConfig:
 
 
 def _environment() -> dict:
-    """What the run's speed depends on: cores, numpy and BLAS, thread settings, pool start."""
+    """What the run's speed depends on: usable CPUs, numpy and BLAS, threads, pool start."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
-        "nproc": os.cpu_count(),
+        "nproc": _usable_cpus(),
         "numpy": np.__version__,
         "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
         "thread_env": {
@@ -129,6 +132,18 @@ def _environment() -> dict:
         },
         "start_method": multiprocessing.get_start_method(),
     }
+
+
+def _write_report(report: ExperimentReport, out: str, extra: dict[str, str] | None = None) -> int:
+    """Write report.md, report.csv and the extra files into out, all or none; print the table."""
+    outdir = _make_dir(_resolve_out(out))
+    markdown = render_report_markdown(report)
+    files = {"report.md": markdown, "report.csv": render_report_csv(report), **(extra or {})}
+    _write_files([(outdir / name, text) for name, text in files.items()])
+    print(markdown, end="")
+    *first, last = files
+    print(f"wrote {', '.join(first)} and {last} to {outdir}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +197,7 @@ def cmd_prepare(args) -> int:
 def cmd_train_embeddings(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
-    token_lists = [tokenize(normalize_text(note.text)) for note in _load_notes(args.corpus)]
+    token_lists = [note_tokens(note.text) for note in _load_notes(args.corpus)]
     vocab = build_vocabulary(token_lists)
     if not vocab:
         raise CorpusError(
@@ -190,7 +205,8 @@ def cmd_train_embeddings(args) -> int:
         )
     config = _load_config(args.config)
     sg = config.skipgram(args.seed)
-    table, losses = train_skipgram(token_lists, vocab, sg)
+    with np.errstate(over="ignore"):  # a saturating sigmoid overflows exp harmlessly
+        table, losses = train_skipgram(token_lists, vocab, sg)
     out = _resolve_out(args.out)
     _make_dir(out.parent)
     _replace(out, lambda tmp: save_vectors(table, vocab, tmp))
@@ -221,9 +237,6 @@ def cmd_run(args) -> int:
         raise ConfigError("the corpus has no morbidity labels to evaluate")
     datasets = {m: build_binary_dataset(notes, m) for m in names}
     report = run_experiment(datasets, config, args.seed, jobs=args.jobs)
-
-    outdir = _make_dir(_resolve_out(args.out))
-    markdown = render_report_markdown(report)
     manifest = {
         "version": __version__,
         "seed": args.seed,
@@ -243,32 +256,19 @@ def cmd_run(args) -> int:
             for c in report.cells
         ],
     }
-    _write_files(
-        [
-            (outdir / "report.md", markdown),
-            (outdir / "report.csv", render_report_csv(report)),
-            (outdir / "raw.jsonl", "\n".join(raw_rows(report)) + "\n"),
-            (outdir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n"),
-        ]
+    return _write_report(
+        report,
+        args.out,
+        {
+            "raw.jsonl": "\n".join(raw_rows(report)) + "\n",
+            "manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+        },
     )
-    print(markdown, end="")
-    print(f"wrote report.md, report.csv, raw.jsonl, manifest.json to {outdir}")
-    return 0
 
 
 def cmd_report(args) -> int:
     report = report_from_raw_rows(_read_text(args.raw, "raw file").splitlines(), args.raw)
-    markdown = render_report_markdown(report)
-    outdir = _make_dir(_resolve_out(args.out))
-    _write_files(
-        [
-            (outdir / "report.md", markdown),
-            (outdir / "report.csv", render_report_csv(report)),
-        ]
-    )
-    print(markdown, end="")
-    print(f"wrote report.md and report.csv to {outdir}")
-    return 0
+    return _write_report(report, args.out)
 
 
 # ---------------------------------------------------------------------------

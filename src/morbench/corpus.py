@@ -223,28 +223,27 @@ def merge_partitions(partitions: list[list[ClinicalNote]]) -> list[ClinicalNote]
 
 @dataclass(frozen=True)
 class MorbiditySpec:
-    positives: int
-    negatives: int
+    positives: int = 0
+    negatives: int = 0
     marker: bool = True
     marker_repeats: int = 1  # occurrences of the marker token per positive note
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    morbidities: dict[str, MorbiditySpec]
+    morbidities: dict[str, MorbiditySpec] = field(default_factory=dict)
     noise_vocab_size: int = 300
     min_tokens: int = 20
     max_tokens: int = 40
 
 
-_SPEC_DEFAULTS = {"morbidities": {}, "noise_vocab_size": 300, "min_tokens": 20, "max_tokens": 40}
-_MORBIDITY_DEFAULTS = {"positives": 0, "negatives": 0, "marker": True, "marker_repeats": 1}
 _SPEC_TYPE_NAMES = {dict: "an object", int: "an integer", bool: "true or false"}
 
 
-def _spec_values(obj, defaults: dict, where: str) -> dict:
-    """obj's settings over the defaults; an unknown key, or a value of another
-    type than its default (true is not an integer), raises ConfigError naming it."""
+def _spec_values(obj, cls, where: str) -> dict:
+    """obj's settings over the defaults of dataclass cls; an unknown key, or a value of
+    another type than its default (true is not an integer), raises ConfigError naming it."""
+    defaults = vars(cls())
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a JSON object")
     for key, value in obj.items():
@@ -258,12 +257,12 @@ def _spec_values(obj, defaults: dict, where: str) -> dict:
 
 def synthetic_spec_from_dict(obj: dict) -> SyntheticSpec:
     """A SyntheticSpec from its JSON form, checked as strictly as a config file."""
-    values = _spec_values(obj, _SPEC_DEFAULTS, "synthetic spec")
+    values = _spec_values(obj, SyntheticSpec, "synthetic spec")
     morbidities = {}
     for name, entry in values["morbidities"].items():
         if not name:
             raise ConfigError("empty morbidity name")
-        spec = MorbiditySpec(**_spec_values(entry, _MORBIDITY_DEFAULTS, f"spec of {name!r}"))
+        spec = MorbiditySpec(**_spec_values(entry, MorbiditySpec, f"spec of {name!r}"))
         if spec.positives < 0 or spec.negatives < 0:
             raise ConfigError(f"negative counts for morbidity {name!r}")
         if spec.marker_repeats < 1:

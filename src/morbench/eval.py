@@ -442,21 +442,18 @@ def run_cell(
     labels = list(dataset.labels)
     n = len(labels)
 
-    def skip(reason: str) -> CellResult:
-        return CellResult(
-            morbidity=morbidity,
-            representation=representation,
-            skipped=reason,
-            seconds=time.perf_counter() - started,
-        )
+    def finish(**outcome) -> CellResult:  # folds= or skipped=
+        seconds = time.perf_counter() - started
+        return CellResult(morbidity, representation, seconds=seconds, **outcome)
 
     if n < config.k:
-        return skip(f"{n} records < {config.k} folds")
+        return finish(skipped=f"{n} records < {config.k} folds")
     counts = {c: labels.count(c) for c in (0, 1)}
     if min(counts.values()) < 2:
-        return skip(f"class counts {counts[1]} positive / {counts[0]} negative; need >= 2 each")
+        reason = f"class counts {counts[1]} positive / {counts[0]} negative; need >= 2 each"
+        return finish(skipped=reason)
     if rep.embedding in _VECTOR_FILE_FIELDS and getattr(config, rep.embedding) is None:
-        return skip(f"no vector file configured for {representation}")
+        return finish(skipped=f"no vector file configured for {representation}")
 
     stopwords = None if rep.kind == "bilstm" else load_stopwords()
     token_lists = _once(
@@ -475,21 +472,16 @@ def run_cell(
             try:
                 handle = _fit_fold(rep, morbidity, token_lists, fold, y, config, seed, memo)
             except TrainingDiverged as exc:
-                return skip(f"training diverged: {exc}")
+                return finish(skipped=f"training diverged: {exc}")
             if isinstance(handle, str):
-                return skip(handle)
+                return finish(skipped=handle)
             y_pred = predict_batch(handle, [token_lists[i] for i in fold.test_indices])
         y_test = y[list(fold.test_indices)]
         tp, fp, fn, tn = confusion_counts(y_test, y_pred)
         f1 = f1_score(y_test, y_pred, weighted=config.weighted_f1)
         results.append(FoldResult(fold=fold.fold, f1=f1, tp=tp, fp=fp, fn=fn, tn=tn))
 
-    return CellResult(
-        morbidity=morbidity,
-        representation=representation,
-        folds=tuple(results),
-        seconds=time.perf_counter() - started,
-    )
+    return finish(folds=tuple(results))
 
 
 # ---------------------------------------------------------------------------

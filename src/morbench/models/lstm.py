@@ -42,7 +42,7 @@ import numpy as np
 
 from morbench.embeddings import EmbeddingTable
 from morbench.models.rmsprop import Params, RmspropConfig, RmspropState, rmsprop_step
-from morbench.models.training import checked_labels, mean_bce, minibatches, sigmoid
+from morbench.models.training import checked_labels, glorot, mean_bce, minibatches, sigmoid
 from morbench.preprocess import PAD_INDEX
 
 
@@ -150,11 +150,6 @@ class BiLstmModel:
     params: Params  # includes the "embedding" matrix
 
 
-def _glorot(rng, shape):
-    limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def init_params(embedding: np.ndarray, hidden1: int, hidden2: int, seed: int) -> Params:
     rng = np.random.default_rng(seed)
     dim = embedding.shape[1]
@@ -165,12 +160,12 @@ def init_params(embedding: np.ndarray, hidden1: int, hidden2: int, seed: int) ->
         ("l2f", 2 * hidden1, hidden2),
         ("l2b", 2 * hidden1, hidden2),
     ):
-        params[f"{prefix}.W"] = _glorot(rng, (d_in, 4 * h))
-        params[f"{prefix}.U"] = _glorot(rng, (h, 4 * h))
+        params[f"{prefix}.W"] = glorot(rng, (d_in, 4 * h))
+        params[f"{prefix}.U"] = glorot(rng, (h, 4 * h))
         b = np.zeros(4 * h)
         b[h : 2 * h] = 1.0  # open forget gates at the start so state carries early on
         params[f"{prefix}.b"] = b
-    params["dense.W"] = _glorot(rng, (2 * hidden2, 1))
+    params["dense.W"] = glorot(rng, (2 * hidden2, 1))
     params["dense.b"] = np.zeros(1)
     return params
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from morbench.models.rmsprop import Params, RmspropConfig, RmspropState, rmsprop_step
-from morbench.models.training import checked_labels, mean_bce, minibatches, sigmoid
+from morbench.models.training import checked_labels, glorot, mean_bce, minibatches, sigmoid
 
 
 @dataclass
@@ -20,12 +20,10 @@ class MlpModel:
 
 def init_params(n_features: int, hidden_size: int, seed: int) -> Params:
     rng = np.random.default_rng(seed)
-    limit1 = np.sqrt(6.0 / (n_features + hidden_size))
-    limit2 = np.sqrt(6.0 / (hidden_size + 1))
     return {
-        "W1": rng.uniform(-limit1, limit1, size=(n_features, hidden_size)),
+        "W1": glorot(rng, (n_features, hidden_size)),
         "b1": np.zeros(hidden_size),
-        "W2": rng.uniform(-limit2, limit2, size=(hidden_size, 1)),
+        "W2": glorot(rng, (hidden_size, 1)),
         "b2": np.zeros(1),
     }
 
@@ -70,7 +68,7 @@ def mlp_train(
     X = np.asarray(rows, dtype=float)
     y = checked_labels(X.shape[0], labels, float)
     params = init_params(X.shape[1], hidden_size, seed)
-    state = RmspropState.fresh(params, rmsprop or RmspropConfig())
+    state = RmspropState.fresh(params, rmsprop)
     for batch in minibatches(X.shape[0], batch_size, epochs, seed):
         rmsprop_step(params, mlp_gradients(params, X[batch], y[batch]), state)
     return MlpModel(params=params)

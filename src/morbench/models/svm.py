@@ -37,13 +37,13 @@ def svm_train(rows, labels, lam: float = 1e-4, epochs: int = 50, seed: int = 0) 
         for i in order:
             t += 1
             eta = 1.0 / (lam * t)
+            violated = y_signed[i] * (X[i] @ w + b) < 1.0
             shrink = 1.0 - eta * lam
-            if y_signed[i] * (X[i] @ w + b) < 1.0:
-                w = shrink * w + eta * y_signed[i] * X[i]
-                b = shrink * b + eta * y_signed[i]
-            else:
-                w = shrink * w
-                b = shrink * b
+            w *= shrink
+            b *= shrink
+            if violated:
+                w += eta * y_signed[i] * X[i]
+                b += eta * y_signed[i]
     return SvmModel(weights=w, bias=float(b), lam=lam)
 
 

@@ -1,5 +1,6 @@
-"""What the classifiers' training shares: the training-data check, the seeded
-minibatch order, the logistic output and its mean binary cross-entropy."""
+"""What the classifiers' training shares: the training-data check, the Glorot
+weight draw, the seeded minibatch order, the logistic output and its mean
+binary cross-entropy."""
 
 from __future__ import annotations
 
@@ -14,6 +15,12 @@ def checked_labels(n_rows: int, labels, dtype: type) -> np.ndarray:
     if len(set(y.tolist())) < 2:
         raise ValueError("training requires both classes present")
     return y
+
+
+def glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """A (fan_in, fan_out) weight matrix drawn uniformly from +-sqrt(6 / (fan_in + fan_out))."""
+    limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+    return rng.uniform(-limit, limit, size=shape)
 
 
 def minibatches(n: int, batch_size: int, epochs: int, seed: int):

@@ -11,6 +11,7 @@ fails here before the benchmark's own smoke test.
 """
 
 import importlib
+import json
 import os
 from pathlib import Path
 
@@ -148,3 +149,20 @@ def test_span_attributes_read_real_package_objects(monkeypatch, tmp_path):
     assert metrics["models.lstm.grad_calls"] == len(grads)
     assert metrics["embeddings.oov"] == 2
     assert tracing.predict_metrics(spans)["models.predictor.predict_ms.svm"] > 0
+
+
+@pytest.mark.parametrize("name", ["marker_seq", "lexical_par", "vectors_seq"])
+def test_benchmark_setup_child_trains_and_round_trips_each_workload(monkeypatch, tmp_path, name):
+    """child.py setup trains the workload's handles with the public API, saves and
+    reloads them and checks single-note against batch predictions."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    child = importlib.import_module("child")
+    inputs_dir = tmp_path / "inputs"
+    inputs_dir.mkdir()
+    importlib.import_module("workloads").build_workloads("tiny")[name].build(inputs_dir, 3)
+    out = tmp_path / "setup" / "result.json"
+    out.parent.mkdir()
+    argv = ["setup", "--workload", name, "--scale", "tiny", "--inputs", str(inputs_dir)]
+    assert child.main([*argv, "--seed", "3", "--passes", "1", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["failed"] == 0 and result["attempted"] > 0

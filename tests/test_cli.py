@@ -183,6 +183,15 @@ def test_manifest_records_the_environment(workspace, monkeypatch):
     assert env["start_method"] in ("fork", "spawn", "forkserver")
 
 
+def test_manifest_nproc_counts_the_cpus_the_pool_may_use(workspace, monkeypatch):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    corpus = _synth(workspace)
+    out = workspace / "results"
+    args = ["run", str(corpus), "--config", str(workspace / "config.json"), "--out", str(out)]
+    assert main(args) == 0
+    assert json.loads((out / "manifest.json").read_text())["environment"]["nproc"] == 1
+
+
 def test_run_twice_is_byte_identical(workspace):
     corpus = _synth(workspace)
     args = ["run", str(corpus), "--config", str(workspace / "config.json"), "--seed", "3"]
@@ -245,7 +254,8 @@ def test_diverging_training_skips_the_cell(workspace, representation):
     assert (rerender / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# as in run, overflow warnings stay errors; a diverged step's invalid values may warn
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_train_embeddings_that_diverge_is_a_usage_error_and_writes_nothing(workspace, capsys):
     config = {"embeddings.dim": 8, **DIVERGING["bilstm_domain_w2v"]}
     (workspace / "sg.json").write_text(json.dumps(config), encoding="utf-8")

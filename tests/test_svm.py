@@ -92,3 +92,34 @@ def test_training_is_deterministic_per_seed():
     np.testing.assert_array_equal(a.weights, b.weights)
     assert a.bias == b.bias
     assert not (np.array_equal(a.weights, c.weights) and a.bias == c.bias)
+
+
+def _two_branch_train(X, y, lam, epochs, seed):
+    """The reference update: the shrink stated in each branch and w rebuilt each step."""
+    y_signed = np.where(y == 1, 1.0, -1.0)
+    rng = np.random.default_rng(seed)
+    n, d = X.shape
+    w, b, t = np.zeros(d), 0.0, 0
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (lam * t)
+            shrink = 1.0 - eta * lam
+            if y_signed[i] * (X[i] @ w + b) < 1.0:
+                w = shrink * w + eta * y_signed[i] * X[i]
+                b = shrink * b + eta * y_signed[i]
+            else:
+                w = shrink * w
+                b = shrink * b
+    return w, float(b)
+
+
+@pytest.mark.parametrize("n, d, lam, seed", [(7, 1, 1e-1, 0), (30, 5, 1e-2, 4), (61, 40, 1e-4, 9)])
+def test_in_place_step_equals_the_two_branch_update_bit_for_bit(n, d, lam, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    y = np.arange(n) % 2
+    model = svm_train(X, y, lam=lam, epochs=4, seed=seed)
+    weights, bias = _two_branch_train(X, y, lam, 4, seed)
+    assert np.array_equal(model.weights, weights)
+    assert model.bias == bias
