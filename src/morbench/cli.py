@@ -134,15 +134,14 @@ def _environment() -> dict:
     }
 
 
-def _write_report(report: ExperimentReport, out: str, extra: dict[str, str] | None = None) -> int:
+def _write_report(report: ExperimentReport, out: Path, extra: dict[str, str] | None = None) -> int:
     """Write report.md, report.csv and the extra files into out, all or none; print the table."""
-    outdir = _make_dir(_resolve_out(out))
     markdown = render_report_markdown(report)
     files = {"report.md": markdown, "report.csv": render_report_csv(report), **(extra or {})}
-    _write_files([(outdir / name, text) for name, text in files.items()])
+    _write_files([(out / name, text) for name, text in files.items()])
     print(markdown, end="")
     *first, last = files
-    print(f"wrote {', '.join(first)} and {last} to {outdir}")
+    print(f"wrote {', '.join(first)} and {last} to {out}")
     return 0
 
 
@@ -153,10 +152,9 @@ def _write_report(report: ExperimentReport, out: str, extra: dict[str, str] | No
 def cmd_synth(args) -> int:
     spec = synthetic_spec_from_dict(_read_json(args.spec, "spec file"))
     notes = generate_synthetic_corpus(spec, args.seed)
-    out = _resolve_out(args.out)
-    _make_dir(out.parent)
-    _replace(out, lambda tmp: write_corpus(notes, tmp))
-    print(f"wrote {len(notes)} notes for {len(spec.morbidities)} morbidities to {out}")
+    _make_dir(args.out.parent)
+    _replace(args.out, lambda tmp: write_corpus(notes, tmp))
+    print(f"wrote {len(notes)} notes for {len(spec.morbidities)} morbidities to {args.out}")
     return 0
 
 
@@ -170,7 +168,7 @@ def cmd_prepare(args) -> int:
         other = by_slug.setdefault(slug, m)
         if other != m:
             raise CorpusError(f"morbidities {other!r} and {m!r} would share dataset_{slug}.jsonl")
-    outdir = _make_dir(_resolve_out(args.out))
+    outdir = _make_dir(args.out)
 
     pairs: list[tuple[Path, str]] = []
     rows = []  # (morbidity, total, positive, negative, excluded)
@@ -205,15 +203,14 @@ def cmd_train_embeddings(args) -> int:
         )
     config = _load_config(args.config)
     sg = config.skipgram(args.seed)
+    _make_dir(args.out.parent)
     with np.errstate(over="ignore"):  # a saturating sigmoid overflows exp harmlessly
         table, losses = train_skipgram(token_lists, vocab, sg)
-    out = _resolve_out(args.out)
-    _make_dir(out.parent)
-    _replace(out, lambda tmp: save_vectors(table, vocab, tmp))
+    _replace(args.out, lambda tmp: save_vectors(table, vocab, tmp))
     final = f"{losses[-1]:.6f}" if losses else "n/a"
     print(
         f"trained {len(vocab)} x {sg.dim} vectors over {sg.epochs} epochs"
-        f" (final mean pair loss {final}); wrote {out}"
+        f" (final mean pair loss {final}); wrote {args.out}"
     )
     return 0
 
@@ -236,6 +233,7 @@ def cmd_run(args) -> int:
     if not names:
         raise ConfigError("the corpus has no morbidity labels to evaluate")
     datasets = {m: build_binary_dataset(notes, m) for m in names}
+    outdir = _make_dir(args.out)
     report = run_experiment(datasets, config, args.seed, jobs=args.jobs)
     manifest = {
         "version": __version__,
@@ -258,7 +256,7 @@ def cmd_run(args) -> int:
     }
     return _write_report(
         report,
-        args.out,
+        outdir,
         {
             "raw.jsonl": "\n".join(raw_rows(report)) + "\n",
             "manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n",
@@ -268,7 +266,7 @@ def cmd_run(args) -> int:
 
 def cmd_report(args) -> int:
     report = report_from_raw_rows(_read_text(args.raw, "raw file").splitlines(), args.raw)
-    return _write_report(report, args.out)
+    return _write_report(report, _make_dir(args.out))
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +284,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic labeled corpus")
     p.add_argument("--spec", required=True, help="JSON spec with per-morbidity counts")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output corpus (JSON lines)")
+    p.add_argument("--out", required=True, type=_resolve_out, help="output corpus (JSON lines)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("prepare", help="build per-morbidity binary datasets")
     p.add_argument("corpus", nargs="+", help="corpus files (JSON lines); partitions are merged")
-    p.add_argument("--out", default="prepared", help="output directory")
+    p.add_argument("--out", default="prepared", type=_resolve_out, help="output directory")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train-embeddings", help="train skip-gram vectors on a corpus")
     p.add_argument("corpus", nargs="+", help="corpus files (JSON lines)")
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output vector file")
+    p.add_argument("--out", required=True, type=_resolve_out, help="output vector file")
     p.set_defaults(func=cmd_train_embeddings)
 
     p = sub.add_parser("run", help="run the cross-validated comparison")
@@ -306,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers over grid cells")
-    p.add_argument("--out", default="results", help="output directory")
+    p.add_argument("--out", default="results", type=_resolve_out, help="output directory")
     p.add_argument(
         "--print-default-config",
         action="store_true",
@@ -316,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="re-render tables from a raw.jsonl file")
     p.add_argument("raw", help="raw.jsonl produced by run")
-    p.add_argument("--out", default="results", help="output directory")
+    p.add_argument("--out", default="results", type=_resolve_out, help="output directory")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from morbench.errors import ConfigError, CorpusError
@@ -78,19 +78,18 @@ class MorbidityDataset:
 def _parse_label_pair(raw, morbidity: str, lineno: int) -> LabelPair:
     if not isinstance(raw, dict):
         raise CorpusError(f"line {lineno}: labels for {morbidity!r} must be an object")
-    unknown = set(raw) - {"textual", "intuitive"}
+    unknown = set(raw) - {f.name for f in fields(LabelPair)}
     if unknown:
         raise CorpusError(
             f"line {lineno}: unknown label kind {sorted(unknown)} for {morbidity!r}"
         )
-    for kind in ("textual", "intuitive"):
-        value = raw.get(kind)
+    for kind, value in raw.items():
         if value is not None and (not isinstance(value, str) or value not in LABEL_SYMBOLS):
             raise CorpusError(
                 f"line {lineno}: {kind} label {value!r} for morbidity {morbidity!r} "
                 f"is not one of Y, N, U, Q"
             )
-    return LabelPair(textual=raw.get("textual"), intuitive=raw.get("intuitive"))
+    return LabelPair(**raw)
 
 
 def _parse_note(line: str, lineno: int) -> ClinicalNote:
@@ -151,14 +150,10 @@ def load_corpus(path: str | Path) -> list[ClinicalNote]:
 
 
 def note_to_json(note: ClinicalNote) -> str:
-    labels = {}
-    for morbidity, pair in note.labels.items():
-        entry = {}
-        if pair.textual is not None:
-            entry["textual"] = pair.textual
-        if pair.intuitive is not None:
-            entry["intuitive"] = pair.intuitive
-        labels[morbidity] = entry
+    labels = {  # each label kind of a pair that is set
+        morbidity: {kind: value for kind, value in asdict(pair).items() if value is not None}
+        for morbidity, pair in note.labels.items()
+    }
     obj = {"id": note.id, "text": note.text, "labels": labels}
     return json.dumps(obj, ensure_ascii=False, sort_keys=True)
 

@@ -228,8 +228,7 @@ def train_skipgram(
     dim = config.dim
 
     centers = np.zeros((V + 1, dim))
-    if V:
-        centers[1:] = (rng.random((V, dim)) - 0.5) / dim
+    centers[1:] = (rng.random((V, dim)) - 0.5) / dim
     contexts = np.zeros((V + 1, dim))
 
     docs = [np.array(encode(tokens, vocab), dtype=np.intp) for tokens in token_lists]

@@ -67,8 +67,6 @@ class Representation:
     embedding: str | None = None
 
 
-_VECTOR_FILE_FIELDS = ("word2vec_path", "glove_path")
-
 REPRESENTATION_TABLE = {
     "tfidf_svm": Representation("svm"),
     "tfidf_mlp": Representation("mlp"),
@@ -184,10 +182,10 @@ _COUNT = ("an integer of at least 1", lambda v: v >= 1)  # sizes, epochs, batche
 _POSITIVE = ("a finite number above 0", lambda v: 0.0 < v < math.inf)  # rates and lambda
 
 
-def _setting(key: str, default, kind: type, rule: str = "", ok=None, nullable: bool = False):
-    """A config field: its dotted file key, its type, whether it may be null, and
-    its range as a predicate ``ok`` with ``rule`` describing it."""
-    meta = {"key": key, "kind": kind, "rule": rule, "ok": ok, "nullable": nullable}
+def _setting(key: str, default, rule: str = "", ok=None, kind: type | None = None):
+    """A config field: its dotted file key and its range, a predicate ``ok`` that ``rule``
+    describes. Its type is its default's, or ``kind`` if that is None (then null is valid)."""
+    meta = {"key": key, "kind": kind or type(default), "rule": rule, "ok": ok}
     return field(default=default, metadata=meta)
 
 
@@ -202,51 +200,50 @@ def _has_type(kind: type, value) -> bool:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Every setting of an experiment; each field declares its config-file key,
-    type and range once, and construction checks them all (ConfigError)."""
+    """Every setting of an experiment; each field declares its config-file key, default
+    and range once, and construction checks them all (ConfigError)."""
 
-    k: int = _setting("eval.k", 10, int, "at least 2", lambda v: v >= 2)
-    weighted_f1: bool = _setting("eval.weighted_f1", False, bool)
+    k: int = _setting("eval.k", 10, "at least 2", lambda v: v >= 2)
+    weighted_f1: bool = _setting("eval.weighted_f1", False)
     # "fold": fit representations on training folds only
     fit_scope: str = _setting(
-        "eval.fit_scope", "fold", str, "'fold' or 'corpus'", lambda v: v in ("fold", "corpus")
+        "eval.fit_scope", "fold", "'fold' or 'corpus'", lambda v: v in ("fold", "corpus")
     )
     representations: tuple[str, ...] = _setting(
         "eval.representations",
         REPRESENTATIONS,
-        tuple,
         f"a list of distinct names, no unknown representation"
         f" (known: {', '.join(REPRESENTATIONS)})",
         lambda v: len(set(v)) == len(v) and set(v) <= set(REPRESENTATIONS),
     )
     # None: every morbidity in the corpus
     morbidities: tuple[str, ...] | None = _setting(
-        "eval.morbidities", None, tuple, "a list of non-empty names", all, nullable=True
+        "eval.morbidities", None, "a list of non-empty names", all, kind=tuple
     )
-    svm_lambda: float = _setting("svm.lambda", 1e-4, float, *_POSITIVE)
-    svm_epochs: int = _setting("svm.epochs", 50, int, *_COUNT)
-    mlp_hidden: int = _setting("mlp.hidden_size", 100, int, *_COUNT)
-    mlp_epochs: int = _setting("mlp.epochs", 200, int, *_COUNT)
-    mlp_batch: int = _setting("mlp.batch_size", 32, int, *_COUNT)
-    bilstm_hidden1: int = _setting("bilstm.hidden1", 64, int, *_COUNT)
-    bilstm_hidden2: int = _setting("bilstm.hidden2", 64, int, *_COUNT)
-    bilstm_epochs: int = _setting("bilstm.epochs", 20, int, *_COUNT)
-    bilstm_batch: int = _setting("bilstm.batch_size", 32, int, *_COUNT)
-    embed_dim: int = _setting("embeddings.dim", 300, int, *_COUNT)
-    sg_window: int = _setting("skipgram.window", 5, int, *_COUNT)
-    sg_epochs: int = _setting("skipgram.epochs", 10, int, *_COUNT)
-    sg_negatives: int = _setting("skipgram.negatives", 5, int, *_COUNT)
-    sg_lr: float = _setting("skipgram.learning_rate", 0.025, float, *_POSITIVE)
-    rms_rho: float = _setting("rmsprop.rho", 0.9, float, "a number in [0, 1)", lambda v: 0 <= v < 1)
-    rms_lr: float = _setting("rmsprop.learning_rate", 0.001, float, *_POSITIVE)
-    rms_eps: float = _setting("rmsprop.eps", 1e-7, float, *_POSITIVE)
-    word2vec_path: str | None = _setting("embeddings.word2vec_path", None, str, nullable=True)
-    glove_path: str | None = _setting("embeddings.glove_path", None, str, nullable=True)
+    svm_lambda: float = _setting("svm.lambda", 1e-4, *_POSITIVE)
+    svm_epochs: int = _setting("svm.epochs", 50, *_COUNT)
+    mlp_hidden: int = _setting("mlp.hidden_size", 100, *_COUNT)
+    mlp_epochs: int = _setting("mlp.epochs", 200, *_COUNT)
+    mlp_batch: int = _setting("mlp.batch_size", 32, *_COUNT)
+    bilstm_hidden1: int = _setting("bilstm.hidden1", 64, *_COUNT)
+    bilstm_hidden2: int = _setting("bilstm.hidden2", 64, *_COUNT)
+    bilstm_epochs: int = _setting("bilstm.epochs", 20, *_COUNT)
+    bilstm_batch: int = _setting("bilstm.batch_size", 32, *_COUNT)
+    embed_dim: int = _setting("embeddings.dim", 300, *_COUNT)
+    sg_window: int = _setting("skipgram.window", 5, *_COUNT)
+    sg_epochs: int = _setting("skipgram.epochs", 10, *_COUNT)
+    sg_negatives: int = _setting("skipgram.negatives", 5, *_COUNT)
+    sg_lr: float = _setting("skipgram.learning_rate", 0.025, *_POSITIVE)
+    rms_rho: float = _setting("rmsprop.rho", 0.9, "a number in [0, 1)", lambda v: 0 <= v < 1)
+    rms_lr: float = _setting("rmsprop.learning_rate", 0.001, *_POSITIVE)
+    rms_eps: float = _setting("rmsprop.eps", 1e-7, *_POSITIVE)
+    word2vec_path: str | None = _setting("embeddings.word2vec_path", None, kind=str)
+    glove_path: str | None = _setting("embeddings.glove_path", None, kind=str)
 
     def __post_init__(self):
         for f in fields(self):
             key, kind, value = f.metadata["key"], f.metadata["kind"], getattr(self, f.name)
-            if value is None and f.metadata["nullable"]:
+            if value is None and f.default is None:
                 continue
             if not _has_type(kind, value):
                 raise ConfigError(f"config key {key!r} must be {_TYPE_NAMES[kind]}")
@@ -452,7 +449,7 @@ def run_cell(
     if min(counts.values()) < 2:
         reason = f"class counts {counts[1]} positive / {counts[0]} negative; need >= 2 each"
         return finish(skipped=reason)
-    if rep.embedding in _VECTOR_FILE_FIELDS and getattr(config, rep.embedding) is None:
+    if rep.embedding in _FIELD_OF_KEY.values() and getattr(config, rep.embedding) is None:
         return finish(skipped=f"no vector file configured for {representation}")
 
     stopwords = None if rep.kind == "bilstm" else load_stopwords()

@@ -11,7 +11,7 @@ Layout (all integers little-endian):
 Round-trips are bit-exact: float64 payloads are written raw and scalar
 metadata goes through JSON repr, which is lossless for finite doubles. Only
 svm files hold metadata (``lam``); an mlp or bilstm model is its arrays, whose
-shapes give the layer widths.
+shapes give the layer widths and must all fit them.
 """
 
 from __future__ import annotations
@@ -88,17 +88,27 @@ def _build_model(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]):
         return SvmModel(
             weights=arrays["weights"], bias=float(arrays["bias"].reshape(-1)[0]), lam=meta["lam"]
         )
-    # mlp and bilstm models are their arrays; meta keys that older files hold are ignored
+
+    def side(name: str, axis: int) -> int:
+        """A layer width: one side of the array name, which must be a matrix with columns."""
+        shape = arrays[name].shape
+        if len(shape) != 2 or not shape[1]:
+            raise ValueError(f"{path}: {kind} array {name} has shape {shape}, not (n, m >= 1)")
+        return shape[axis]
+
+    # mlp and bilstm models are their arrays, named and shaped as the model module's own
+    # initializer makes them at the file's widths; meta keys older files hold are ignored
     if kind == "mlp":
-        model, expected = MlpModel(params=arrays), mlp_init_params(1, 1, seed=0)
+        model, expected = MlpModel(arrays), mlp_init_params(side("W1", 0), side("W1", 1), 0)
     elif kind == "bilstm":
-        model, expected = BiLstmModel(params=arrays), lstm_init_params(np.zeros((1, 1)), 1, 1, 0)
+        model, dim = BiLstmModel(arrays), side("embedding", 1)
+        expected = lstm_init_params(np.zeros((0, dim)), side("l1f.U", 0), side("l2f.U", 0), 0)
+        expected["embedding"] = arrays["embedding"]  # a vocabulary of any size
     else:
         raise ValueError(f"{path}: unknown model kind {kind!r}")
-    # parameter names come from the model module's own initializer
-    missing = sorted(expected.keys() - arrays.keys())
-    if missing:
-        raise KeyError(missing[0])
+    for name, param in sorted(expected.items()):
+        if (shape := arrays[name].shape) != param.shape:
+            raise ValueError(f"{path}: {kind} array {name} has shape {shape}, not {param.shape}")
     return model
 
 

@@ -724,9 +724,42 @@ def test_unexpected_exception_maps_to_exit_one(workspace, monkeypatch, capsys):
 
 def test_relative_out_resolves_against_data_dir(workspace, monkeypatch):
     monkeypatch.setenv("MORBENCH_DATA_DIR", str(workspace))
-    _synth(workspace)  # absolute out, unaffected
+    elsewhere = workspace / "cwd"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)  # where an unresolved relative path would land
+    corpus = _synth(workspace)  # absolute out, unaffected
+    config = str(workspace / "config.json")
     assert main(["synth", "--spec", str(workspace / "spec.json"), "--out", "rel.jsonl"]) == 0
     assert (workspace / "rel.jsonl").exists()
+    assert main(["prepare", str(corpus), "--out", "rel_prepared"]) == 0
+    assert (workspace / "rel_prepared" / "summary.csv").exists()
+    argv = ["train-embeddings", str(corpus), "--config", config, "--out", "rel_vectors.txt"]
+    assert main(argv) == 0
+    assert (workspace / "rel_vectors.txt").exists()
+    assert main(["run", str(corpus), "--config", config, "--out", "rel_run"]) == 0
+    assert (workspace / "rel_run" / "raw.jsonl").exists()
+    assert main(["report", str(workspace / "rel_run" / "raw.jsonl")]) == 0  # --out's default
+    assert (workspace / "results" / "report.csv").exists()
+    assert list(elsewhere.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, work",
+    [("run", "run_experiment"), ("train-embeddings", "train_skipgram")],
+)
+def test_output_location_is_checked_before_the_work(workspace, monkeypatch, capsys, command, work):
+    corpus = _synth(workspace)
+    (workspace / "afile").write_text("", encoding="utf-8")
+
+    def must_not_run(*args, **kwargs):
+        pytest.fail(f"{work} ran although --out cannot be made")
+
+    monkeypatch.setattr(f"morbench.cli.{work}", must_not_run)
+    out = workspace / "afile" / "out"
+    argv = [command, str(corpus), "--config", str(workspace / "config.json"), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"cannot create directory {workspace / 'afile'}" in err and "internal error" not in err
 
 
 def test_version_flag(capsys):

@@ -48,6 +48,27 @@ def test_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "pair, written",
+    [
+        ('{"textual": "Y"}', '{"textual": "Y"}'),
+        ('{"intuitive": "Q"}', '{"intuitive": "Q"}'),
+        ('{"textual": null, "intuitive": "N"}', '{"intuitive": "N"}'),
+        ('{"intuitive": null}', "{}"),
+        ("{}", "{}"),
+    ],
+    ids=["only-textual", "only-intuitive", "explicit-null", "only-null", "empty"],
+)
+def test_loaded_label_pairs_round_trip(tmp_path, pair, written):
+    path = tmp_path / "c.jsonl"
+    path.write_text(f'{{"id": "x", "text": "t", "labels": {{"Gout": {pair}}}}}\n')
+    notes = load_corpus(path)
+    line = note_to_json(notes[0])
+    assert line == f'{{"id": "x", "labels": {{"Gout": {written}}}, "text": "t"}}'
+    write_corpus(notes, path)
+    assert load_corpus(path) == notes
+
+
+@pytest.mark.parametrize(
     "line, message",
     [
         ("{not json", "invalid JSON"),

@@ -248,7 +248,8 @@ def test_default_config_dict_covers_every_key():
     assert config_from_dict(flat) == ExperimentConfig()
     assert flat["eval.k"] == 10
     assert flat["eval.representations"] == list(REPRESENTATIONS)
-    assert flat["embeddings.word2vec_path"] is None
+    nulls = {"eval.morbidities", "embeddings.word2vec_path", "embeddings.glove_path"}
+    assert {key for key, value in flat.items() if value is None} == nulls
 
 
 def test_readme_config_table_names_every_key_once():
@@ -279,6 +280,26 @@ def test_config_rejects_unknown_key():
 def test_config_type_validation(raw, message):
     with pytest.raises(ConfigError, match=message):
         config_from_dict(raw)
+
+
+_TYPE_MESSAGES = {  # by the type of the key's default in its file form
+    bool: "true or false",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "a non-empty list of strings",
+}
+
+
+@pytest.mark.parametrize("key", sorted(config_to_dict(ExperimentConfig())))
+def test_null_is_accepted_exactly_for_keys_whose_default_is_null(key):
+    default = config_to_dict(ExperimentConfig())[key]
+    if default is None:
+        assert config_to_dict(config_from_dict({key: None}))[key] is None
+        return
+    message = f"config key '{key}' must be {_TYPE_MESSAGES[type(default)]}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config_from_dict({key: None})
 
 
 def test_config_semantic_validation():

@@ -1,5 +1,6 @@
 """Round-trip and corruption tests for the binary model format."""
 
+import re
 import struct
 from pathlib import Path
 
@@ -225,3 +226,52 @@ def test_load_rejects_model_without_a_parameter(tmp_path, make, dropped):
     save_model(model, path)
     with pytest.raises(ValueError, match=f"model header lacks {dropped}"):
         load_model(path)
+
+
+def _assert_shape_is_rejected(tmp_path, kind, params, name, shape):
+    path = tmp_path / "m.bin"
+    path.write_bytes(_pack(kind, {}, {**params, name: np.zeros(shape)}))
+    match = rf"{re.escape(str(path))}: {kind} array {re.escape(name)} has shape"
+    with pytest.raises(ValueError, match=match):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    [
+        ("W2", (5, 1)),  # W1 is (2, 4), so W2 must be (4, 1)
+        ("b1", (3,)),
+        ("b2", (1, 1)),
+        ("W1", (8,)),
+        ("W1", ()),
+        ("W1", (2, 4, 1)),
+        ("W1", (2, 0)),
+    ],
+)
+def test_load_rejects_mlp_arrays_of_inconsistent_shape(tmp_path, name, shape):
+    _assert_shape_is_rejected(tmp_path, "mlp", _mlp_model().params, name, shape)
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    [
+        ("l1f.W", (4, 8)),  # the embedding has 3 columns
+        ("l2b.U", (3, 8)),  # l2f.U gives hidden2 = 2
+        ("l2f.W", (2, 8)),  # layer 2 reads 2 * hidden1 = 4 inputs
+        ("l1b.b", (9,)),
+        ("dense.W", (4,)),
+        ("embedding", (18,)),
+        ("embedding", (6, 0)),
+        ("l1f.U", (8,)),
+        ("l2f.U", (0, 0)),
+    ],
+)
+def test_load_rejects_bilstm_arrays_of_inconsistent_shape(tmp_path, name, shape):
+    _assert_shape_is_rejected(tmp_path, "bilstm", _bilstm_model().params, name, shape)
+
+
+def test_load_takes_an_embedding_of_any_vocabulary_size(tmp_path):
+    params = {**_bilstm_model().params, "embedding": np.zeros((40, 3))}
+    path = tmp_path / "m.bin"
+    path.write_bytes(_pack("bilstm", {}, params))
+    assert load_model(path).params["embedding"].shape == (40, 3)
