@@ -50,7 +50,7 @@ from morbench.eval import (
     report_from_raw_rows,
     run_experiment,
 )
-from morbench.files import replace_atomically
+from morbench.files import csv_text, reading, replace_atomically
 from morbench.models.predictor import note_tokens
 from morbench.preprocess import build_vocabulary
 
@@ -69,19 +69,10 @@ def _make_dir(path: Path) -> Path:
     return path
 
 
-def _read_text(path: str, what: str) -> str:
-    """The text of a UTF-8 input file; one that cannot be read raises ConfigError naming it."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path} ({exc.strerror})") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{what} {path} is not UTF-8 ({exc.reason})") from exc
-
-
 def _read_json(path: str, what: str):
-    try:
-        return json.loads(_read_text(path, what))
+    try:  # a file that is not UTF-8 leaves reading as a ConfigError, which passes this except
+        with reading(path, what, ConfigError) as fh:
+            return json.load(fh)
     except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, deep nesting
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
@@ -179,9 +170,8 @@ def cmd_prepare(args) -> int:
         pairs.append((outdir / f"dataset_{_slug(m)}.jsonl", body))
         total, positive = len(dataset.records), sum(dataset.labels)
         rows.append((m, total, positive, total - positive, labeled[m] - total))
-    csv_lines = ["morbidity,total,positive,negative,excluded"]
-    csv_lines += [",".join(map(str, row)) for row in rows]
-    pairs.append((outdir / "summary.csv", "\n".join(csv_lines) + "\n"))
+    header = ["morbidity", "total", "positive", "negative", "excluded"]
+    pairs.append((outdir / "summary.csv", csv_text([header, *rows])))
     _write_files(pairs)
 
     width = max(len(m) for m in morbidities)
@@ -265,7 +255,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = report_from_raw_rows(_read_text(args.raw, "raw file").splitlines(), args.raw)
+    with reading(args.raw, "raw file", ConfigError) as fh:
+        report = report_from_raw_rows(fh, args.raw)
     return _write_report(report, _make_dir(args.out))
 
 

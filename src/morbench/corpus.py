@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from morbench.errors import ConfigError, CorpusError
+from morbench.files import reading
 
 # Canonical morbidity names, in fixed report order.
 MORBIDITIES = (
@@ -75,49 +76,49 @@ class MorbidityDataset:
         return [r.text for r in self.records]
 
 
-def _parse_label_pair(raw, morbidity: str, lineno: int) -> LabelPair:
+def _parse_label_pair(raw, morbidity: str, where: str) -> LabelPair:
     if not isinstance(raw, dict):
-        raise CorpusError(f"line {lineno}: labels for {morbidity!r} must be an object")
+        raise CorpusError(f"{where}: labels for {morbidity!r} must be an object")
     unknown = set(raw) - {f.name for f in fields(LabelPair)}
     if unknown:
         raise CorpusError(
-            f"line {lineno}: unknown label kind {sorted(unknown)} for {morbidity!r}"
+            f"{where}: unknown label kind {sorted(unknown)} for {morbidity!r}"
         )
     for kind, value in raw.items():
         if value is not None and (not isinstance(value, str) or value not in LABEL_SYMBOLS):
             raise CorpusError(
-                f"line {lineno}: {kind} label {value!r} for morbidity {morbidity!r} "
+                f"{where}: {kind} label {value!r} for morbidity {morbidity!r} "
                 f"is not one of Y, N, U, Q"
             )
     return LabelPair(**raw)
 
 
-def _parse_note(line: str, lineno: int) -> ClinicalNote:
+def _parse_note(line: str, where: str) -> ClinicalNote:
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError) as exc:  # also an over-long integer or deep nesting
-        raise CorpusError(f"line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+        raise CorpusError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(obj, dict):
-        raise CorpusError(f"line {lineno}: expected a JSON object")
+        raise CorpusError(f"{where}: expected a JSON object")
     note_id = obj.get("id")
     if not isinstance(note_id, str) or not note_id:
-        raise CorpusError(f"line {lineno}: 'id' must be a non-empty string")
+        raise CorpusError(f"{where}: 'id' must be a non-empty string")
     text = obj.get("text")
     if not isinstance(text, str):
-        raise CorpusError(f"line {lineno}: 'text' must be a string")
+        raise CorpusError(f"{where}: 'text' must be a string")
     raw_labels = obj.get("labels", {})
     if not isinstance(raw_labels, dict):
-        raise CorpusError(f"line {lineno}: 'labels' must be an object")
+        raise CorpusError(f"{where}: 'labels' must be an object")
     labels = {}
     for morbidity, raw in raw_labels.items():
         if not morbidity:
-            raise CorpusError(f"line {lineno}: empty morbidity name")
-        labels[morbidity] = _parse_label_pair(raw, morbidity, lineno)
+            raise CorpusError(f"{where}: empty morbidity name")
+        labels[morbidity] = _parse_label_pair(raw, morbidity, where)
     try:  # JSON can spell an unpaired surrogate, which no UTF-8 file can hold, as \ud800
         "".join([note_id, text, *labels]).encode("utf-8")
     except UnicodeEncodeError as exc:
         raise CorpusError(
-            f"line {lineno}: an unpaired surrogate escape in 'id', 'text' or a morbidity name"
+            f"{where}: an unpaired surrogate escape in 'id', 'text' or a morbidity name"
         ) from exc
     return ClinicalNote(id=note_id, text=text, labels=labels)
 
@@ -125,27 +126,23 @@ def _parse_note(line: str, lineno: int) -> ClinicalNote:
 def load_corpus(path: str | Path) -> list[ClinicalNote]:
     """Load a JSON-Lines corpus, validating ids and label symbols.
 
-    A file that cannot be read or is not UTF-8 raises CorpusError naming the path.
+    A file that cannot be read or is not UTF-8 raises CorpusError naming the
+    path; so does a bad line, naming its line too.
     """
     notes: list[ClinicalNote] = []
     seen: dict[str, int] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                note = _parse_note(line, lineno)
-                if note.id in seen:
-                    raise CorpusError(
-                        f"duplicate note id {note.id!r} on lines {seen[note.id]} and {lineno}"
-                    )
-                seen[note.id] = lineno
-                notes.append(note)
-    except OSError as exc:
-        raise CorpusError(f"cannot read corpus file {path} ({exc.strerror})") from exc
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"corpus file {path} is not UTF-8 ({exc.reason})") from exc
+    with reading(path, "corpus file", CorpusError) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            note = _parse_note(line, f"{path}: line {lineno}")
+            if note.id in seen:
+                raise CorpusError(
+                    f"{path}: duplicate note id {note.id!r} on lines {seen[note.id]} and {lineno}"
+                )
+            seen[note.id] = lineno
+            notes.append(note)
     return notes
 
 

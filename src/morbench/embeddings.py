@@ -29,6 +29,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from morbench.errors import TrainingDiverged, VectorFileError
+from morbench.files import reading
 from morbench.models.training import sigmoid
 from morbench.preprocess import PAD_INDEX, Vocabulary, encode
 
@@ -78,51 +79,46 @@ def load_pretrained(path, vocab: Vocabulary, dim: int) -> tuple[EmbeddingTable, 
     rows = np.zeros((len(vocab) + 1, dim))
     found = set()
     index = vocab.index
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                # An unknown word on a regularly spaced line is dropped here:
-                # split(" ") would give it exactly dim values, so the checks
-                # below would pass the line and skip it. They would skip it on
-                # line 1 too, header or not, so line 1 needs no exception.
-                space = line.find(" ")
-                if (
-                    space > 0
-                    and line[:space] not in index
-                    and line.count(" ") == dim
-                    and _find_double_space(line) is None
-                    and not line.endswith((" ", " \n"))
-                ):
-                    continue
-                parts = line.rstrip("\n").split(" ")
-                parts = [p for p in parts if p]
-                if not parts:
-                    continue
-                if lineno == 1 and len(parts) == 2:
-                    try:
-                        int(parts[0]), int(parts[1])
-                        continue  # header line
-                    except ValueError:
-                        pass
-                word, values = parts[0], parts[1:]
-                if len(values) != dim:
-                    raise VectorFileError(
-                        f"{path}: line {lineno}: expected {dim} values, found {len(values)}"
-                    )
-                if word not in vocab:
-                    continue
+    with reading(path, "vector file", VectorFileError) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            # An unknown word on a regularly spaced line is dropped here:
+            # split(" ") would give it exactly dim values, so the checks
+            # below would pass the line and skip it. They would skip it on
+            # line 1 too, header or not, so line 1 needs no exception.
+            space = line.find(" ")
+            if (
+                space > 0
+                and line[:space] not in index
+                and line.count(" ") == dim
+                and _find_double_space(line) is None
+                and not line.endswith((" ", " \n"))
+            ):
+                continue
+            parts = line.rstrip("\n").split(" ")
+            parts = [p for p in parts if p]
+            if not parts:
+                continue
+            if lineno == 1 and len(parts) == 2:
                 try:
-                    vector = np.array([float(v) for v in values])
-                except ValueError as exc:
-                    raise VectorFileError(f"{path}: line {lineno}: bad float ({exc})") from exc
-                if not np.all(np.isfinite(vector)):
-                    raise VectorFileError(f"{path}: line {lineno}: non-finite value")
-                rows[vocab[word]] = vector
-                found.add(word)
-    except OSError as exc:
-        raise VectorFileError(f"{path}: cannot read vector file ({exc.strerror})") from exc
-    except UnicodeDecodeError as exc:
-        raise VectorFileError(f"{path}: vector file is not UTF-8 ({exc.reason})") from exc
+                    int(parts[0]), int(parts[1])
+                    continue  # header line
+                except ValueError:
+                    pass
+            word, values = parts[0], parts[1:]
+            if len(values) != dim:
+                raise VectorFileError(
+                    f"{path}: line {lineno}: expected {dim} values, found {len(values)}"
+                )
+            if word not in vocab:
+                continue
+            try:
+                vector = np.array([float(v) for v in values])
+            except ValueError as exc:
+                raise VectorFileError(f"{path}: line {lineno}: bad float ({exc})") from exc
+            if not np.all(np.isfinite(vector)):
+                raise VectorFileError(f"{path}: line {lineno}: non-finite value")
+            rows[vocab[word]] = vector
+            found.add(word)
     oov_count = len(vocab) - len(found)
     return EmbeddingTable(rows=rows), oov_count
 

@@ -37,6 +37,7 @@ from morbench.embeddings import (
     train_skipgram,
 )
 from morbench.errors import ConfigError, TrainingDiverged
+from morbench.files import csv_text
 from morbench.models.lstm import BiLstmConfig, bilstm_train
 from morbench.models.mlp import mlp_train
 from morbench.models.predictor import (
@@ -636,7 +637,7 @@ def render_report_markdown(report: ExperimentReport) -> str:
 
 
 def render_report_csv(report: ExperimentReport) -> str:
-    return "\n".join(",".join(row) for row in _report_rows(report)) + "\n"
+    return csv_text(_report_rows(report))
 
 
 def raw_rows(report: ExperimentReport) -> list[str]:

@@ -17,6 +17,7 @@ shapes give the layer widths and must all fit them.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -83,11 +84,14 @@ def _check_header(path, header) -> None:
 def _build_model(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]):
     """The model a checked header describes; a missing array or meta key raises KeyError."""
     if kind == "svm":
-        if arrays["bias"].size != 1:
-            raise ValueError(f"{path}: svm bias must hold one value")
-        return SvmModel(
-            weights=arrays["weights"], bias=float(arrays["bias"].reshape(-1)[0]), lam=meta["lam"]
-        )
+        weights, bias, lam = arrays["weights"], arrays["bias"], meta["lam"]
+        if weights.ndim != 1:
+            raise ValueError(f"{path}: svm array weights has shape {weights.shape}, not (n,)")
+        if bias.shape != (1,):
+            raise ValueError(f"{path}: svm array bias has shape {bias.shape}, not (1,)")
+        if type(lam) not in (int, float) or not 0 < lam < math.inf:
+            raise ValueError(f"{path}: svm meta lam {lam!r} is not a finite number > 0")
+        return SvmModel(weights=weights, bias=float(bias[0]), lam=lam)
 
     def side(name: str, axis: int) -> int:
         """A layer width: one side of the array name, which must be a matrix with columns."""

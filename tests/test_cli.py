@@ -1,5 +1,6 @@
 """End-to-end command line tests, run in-process through main(argv)."""
 
+import csv
 import json
 import tempfile
 from pathlib import Path
@@ -121,6 +122,20 @@ def test_prepare_refuses_morbidities_that_share_a_file(workspace, capsys, names)
     err = capsys.readouterr().err
     assert all(repr(m) in err for m in names) and "internal error" not in err
     assert not out.exists()
+
+
+def test_csv_files_quote_a_morbidity_name_that_holds_a_comma(workspace):
+    spec = {**SPEC, "morbidities": {"Hypertension, essential": SPEC["morbidities"]["Gout"]}}
+    (workspace / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    corpus, prepared, results = _synth(workspace), workspace / "prepared", workspace / "results"
+    assert main(["prepare", str(corpus), "--out", str(prepared)]) == 0
+    argv = ["run", str(corpus), "--config", str(workspace / "config.json"), "--out", str(results)]
+    assert main(argv) == 0
+    for path in (prepared / "summary.csv", results / "report.csv"):
+        with path.open(encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert all(len(row) == len(header) for row in rows), path.name
+        assert "Hypertension, essential" in [row[0] for row in rows], path.name
 
 
 def test_run_pipeline_and_outputs(workspace, capsys):
@@ -505,6 +520,61 @@ def test_unreadable_input_file_is_a_usage_error(workspace, capsys, argv):
     assert not out.exists()
 
 
+def _with_bom(path: Path) -> Path:
+    marked = path.with_name("bom_" + path.name)
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return marked
+
+
+def _raw_file(workspace) -> Path:
+    (workspace / "raw.jsonl").write_text(_fold_row() + _fold_row(fold=1), encoding="utf-8")
+    return workspace / "raw.jsonl"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda ws, mark, out: ["prepare", str(mark(_synth(ws))), "--out", str(out)],
+        lambda ws, mark, out: [
+            "run", str(mark(_synth(ws))), "--config", str(ws / "config.json"), "--out", str(out)
+        ],
+        lambda ws, mark, out: [
+            "run", str(_synth(ws)), "--config", str(mark(ws / "config.json")), "--out", str(out)
+        ],
+        lambda ws, mark, out: [
+            "synth", "--spec", str(mark(ws / "spec.json")), "--out", str(out / "c.jsonl")
+        ],
+        lambda ws, mark, out: ["report", str(mark(_raw_file(ws))), "--out", str(out)],
+    ],
+    ids=["corpus-prepare", "corpus-run", "config", "spec", "raw"],
+)
+def test_input_file_with_a_byte_order_mark_reads_as_without_it(workspace, capsys, argv):
+    outputs = []
+    for mark in (lambda path: path, _with_bom):
+        out = workspace / ("bom" if outputs else "plain")
+        assert main(argv(workspace, mark, out)) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        outputs.append((stdout, files))
+    assert outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"id": "x", "text": "t"}\n{"id": "y"\n', "line 2: invalid JSON"),
+        ('{"id": "x", "text": "t"}\n{"id": "x", "text": "u"}\n', "duplicate note id 'x' on lines"),
+    ],
+)
+def test_bad_corpus_line_names_its_file(workspace, capsys, text, message):
+    second = workspace / "second.jsonl"
+    second.write_text(text, encoding="utf-8")
+    argv = ["run", str(_synth(workspace)), str(second), "--out", str(workspace / "r")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{second}: {message}" in err and "internal error" not in err
+
+
 def test_unwritable_output_is_a_usage_error_and_leaves_no_temporary(workspace, capsys):
     corpus = _synth(workspace)
     out = workspace / "r"
@@ -641,7 +711,8 @@ _TINY_CONFIG = {
 _TINY_SPEC = {
     "morbidities": {
         "Gout": {"positives": 5, "negatives": 5, "marker_repeats": 2},
-        "Asthma": {"positives": 5, "negatives": 5, "marker_repeats": 2},
+        # str.splitlines() would split a raw row at U+2028 or U+0085; raw.jsonl holds them as is
+        "Asthma\u2028\x85": {"positives": 5, "negatives": 5, "marker_repeats": 2},
     },
     "noise_vocab_size": 12,
     "min_tokens": 4,
@@ -667,6 +738,8 @@ def test_run_exits_0_or_2_on_any_config_and_report_reads_what_it_wrote(raw, jobs
         assert code in (0, 2)
         if code == 0:
             assert main(["report", str(tmp / "out" / "raw.jsonl"), "--out", str(tmp / "re")]) == 0
+            for name in ("report.md", "report.csv"):
+                assert (tmp / "re" / name).read_bytes() == (tmp / "out" / name).read_bytes()
 
 
 @st.composite

@@ -228,9 +228,9 @@ def test_load_rejects_model_without_a_parameter(tmp_path, make, dropped):
         load_model(path)
 
 
-def _assert_shape_is_rejected(tmp_path, kind, params, name, shape):
+def _assert_shape_is_rejected(tmp_path, kind, params, name, shape, meta=None):
     path = tmp_path / "m.bin"
-    path.write_bytes(_pack(kind, {}, {**params, name: np.zeros(shape)}))
+    path.write_bytes(_pack(kind, meta or {}, {**params, name: np.zeros(shape)}))
     match = rf"{re.escape(str(path))}: {kind} array {re.escape(name)} has shape"
     with pytest.raises(ValueError, match=match):
         load_model(path)
@@ -268,6 +268,29 @@ def test_load_rejects_mlp_arrays_of_inconsistent_shape(tmp_path, name, shape):
 )
 def test_load_rejects_bilstm_arrays_of_inconsistent_shape(tmp_path, name, shape):
     _assert_shape_is_rejected(tmp_path, "bilstm", _bilstm_model().params, name, shape)
+
+
+def _svm_file_parts():
+    model = _svm_model()
+    return {"weights": model.weights, "bias": np.array([model.bias])}, {"lam": model.lam}
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    [("weights", (3, 2)), ("weights", ()), ("bias", (1, 1)), ("bias", (2,)), ("bias", ())],
+)
+def test_load_rejects_svm_arrays_of_inconsistent_shape(tmp_path, name, shape):
+    params, meta = _svm_file_parts()
+    _assert_shape_is_rejected(tmp_path, "svm", params, name, shape, meta)
+
+
+@pytest.mark.parametrize("lam", ["x", True, None, 0, -0.5, float("inf"), float("nan"), [1.0]])
+def test_load_rejects_svm_lam_that_is_not_a_finite_number_above_zero(tmp_path, lam):
+    params, _ = _svm_file_parts()
+    path = tmp_path / "m.bin"
+    path.write_bytes(_pack("svm", {"lam": lam}, params))
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: svm meta lam "):
+        load_model(path)
 
 
 def test_load_takes_an_embedding_of_any_vocabulary_size(tmp_path):
